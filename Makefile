@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
+.PHONY: all build test race vet fuzz-smoke bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
 
 all: build test
 
@@ -19,6 +19,15 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# A few seconds of coverage-guided fuzzing per parser and per identity
+# contract: the fault-schedule parser, the binary trace reader, and the
+# lazy traffic RNG against math/rand. Crashers land in testdata/fuzz.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/traffic/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/traffic/
 
 # Hot-path microbenchmarks: event engine scheduling and fabric
 # packet throughput (ns/op, allocs/op), plus the figure regenerators.

@@ -1,10 +1,15 @@
 package epnet
 
 import (
+	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"epnet/internal/traffic"
 )
 
 // TestConfigErrorsCarryFieldNames drives every validation branch and
@@ -70,6 +75,42 @@ func TestConfigErrorsCarryFieldNames(t *testing.T) {
 		}
 		if tc.sentinel != nil && !errors.Is(err, tc.sentinel) {
 			t.Errorf("%s: error %v does not match its enum sentinel", tc.field, err)
+		}
+	}
+}
+
+// TestRunRejectsOutOfRangeTrace checks a trace naming a host the
+// topology lacks fails when the run is built, as a TracePath field
+// error, instead of panicking partway through the run.
+func TestRunRejectsOutOfRangeTrace(t *testing.T) {
+	const far = 1 << 20 // beyond any test topology
+	cases := []struct {
+		name string
+		rec  traffic.Record
+	}{
+		{"src", traffic.Record{At: 1000, Src: far, Dst: 1, Size: 4096}},
+		{"dst", traffic.Record{At: 1000, Src: 0, Dst: far, Size: 4096}},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), tc.name+".trace")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := []traffic.Record{{At: 500, Src: 0, Dst: 1, Size: 4096}}
+		if err := traffic.WriteTrace(f, append(ok, tc.rec)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		cfg := fastCfg()
+		cfg.Workload, cfg.TracePath = WorkloadTrace, path
+		_, err = RunContext(context.Background(), cfg)
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: error %v does not match ErrInvalidConfig", tc.name, err)
+		}
+		var fe *ConfigFieldError
+		if !errors.As(err, &fe) || fe.Field != "TracePath" {
+			t.Errorf("%s: error %v is not a TracePath field error", tc.name, err)
 		}
 	}
 }

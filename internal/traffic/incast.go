@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"math/rand"
-
 	"epnet/internal/link"
 	"epnet/internal/sim"
 )
@@ -49,7 +47,7 @@ func (p *Incast) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 		fanin = n - 1
 	}
 	meanGapSec := float64(p.MsgBytes*fanin*8) / (p.Load * float64(p.LineRate))
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := newStream(p.Seed)
 	var burst func(now sim.Time)
 	burst = func(now sim.Time) {
 		if now > horizon {

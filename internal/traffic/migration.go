@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"math/rand"
-
 	"epnet/internal/link"
 	"epnet/internal/sim"
 )
@@ -54,7 +52,7 @@ func (m *Migration) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	}
 	meanGapSec := float64(m.ChunkBytes*8) / (m.Load * float64(m.LineRate))
 	for s := 0; s < streams; s++ {
-		srng := rand.New(rand.NewSource(m.Seed ^ int64(s)*0x2545F4914F6CDD1D))
+		srng := newStream(m.Seed ^ int64(s)*0x2545F4914F6CDD1D)
 		var src, dst, left int
 		pick := func() {
 			src = srng.Intn(n)

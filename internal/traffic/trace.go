@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 
 	"epnet/internal/sim"
@@ -61,7 +60,11 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("traffic: implausible record count %d", count)
 	}
-	recs := make([]Record, 0, count)
+	// The header is not trusted for the allocation: a short file can
+	// claim 2³⁰ records. Preallocate at most maxPrealloc and let append
+	// grow the slice as records actually arrive.
+	const maxPrealloc = 64 << 10
+	recs := make([]Record, 0, min(count, maxPrealloc))
 	for i := uint64(0); i < count; i++ {
 		var f [4]int64
 		if err := binary.Read(br, binary.LittleEndian, &f); err != nil {
@@ -92,16 +95,28 @@ func (p *Replay) Name() string { return p.Label }
 // AvgUtil implements Workload.
 func (p *Replay) AvgUtil() float64 { return p.Util }
 
+// CheckHosts reports the first record whose source or destination is
+// not one of n hosts. Start panics on such a trace, so callers that
+// take traces from users check them when the run is built.
+func (p *Replay) CheckHosts(n int) error {
+	for i, r := range p.Records {
+		if r.Src < 0 || r.Src >= n || r.Dst < 0 || r.Dst >= n {
+			return fmt.Errorf("traffic: trace record %d (src %d, dst %d) exceeds %d hosts",
+				i, r.Src, r.Dst, n)
+		}
+	}
+	return nil
+}
+
 // Start implements Workload. Records beyond the horizon are skipped.
 func (p *Replay) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
-	n := tgt.NumHosts()
+	if err := p.CheckHosts(tgt.NumHosts()); err != nil {
+		panic(err)
+	}
 	for _, r := range p.Records {
 		r := r
 		if r.At > horizon {
 			continue
-		}
-		if r.Src >= n || r.Dst >= n {
-			panic(fmt.Sprintf("traffic: trace record %v exceeds %d hosts", r, n))
 		}
 		e.At(r.At, func(sim.Time) { tgt.InjectMessage(r.Src, r.Dst, r.Size) })
 	}
@@ -168,7 +183,7 @@ func RemapHosts(recs []Record, n int, seed int64) ([]Record, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("traffic: need at least 2 hosts, got %d", n)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := newStream(seed)
 	mapping := map[int]int{}
 	assign := func(h int) int {
 		if m, ok := mapping[h]; ok {

@@ -109,10 +109,10 @@ func (u *Uniform) AvgUtil() float64 { return u.Load }
 func (u *Uniform) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	n := tgt.NumHosts()
 	meanGapSec := float64(u.MsgBytes*8) / (u.Load * float64(u.LineRate))
-	rng := rand.New(rand.NewSource(u.Seed))
+	rng := newStream(u.Seed)
 	for h := 0; h < n; h++ {
 		h := h
-		hrng := rand.New(rand.NewSource(u.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := newStream(u.Seed ^ int64(h)*0x2545F4914F6CDD1D)
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {
@@ -238,7 +238,7 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	}
 	// Randomized placement (§4.1: "application placement has been
 	// randomized across the cluster").
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := newStream(t.Seed)
 	perm := rng.Perm(n)
 	servers := perm[:nServers]
 	clients := perm[nServers:]
@@ -253,7 +253,7 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	// Client request/response loops.
 	for _, c := range clients {
 		c := c
-		crng := rand.New(rand.NewSource(t.Seed ^ int64(c)*0x2545F4914F6CDD1D))
+		crng := newStream(t.Seed ^ int64(c)*0x2545F4914F6CDD1D)
 		var loop func(now sim.Time)
 		loop = func(now sim.Time) {
 			if now > horizon {
@@ -288,7 +288,7 @@ func (t *TraceLike) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	// Background block shuffles from every host.
 	for h := 0; h < n; h++ {
 		h := h
-		hrng := rand.New(rand.NewSource(t.Seed ^ 0x5DEECE66D ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := newStream(t.Seed ^ 0x5DEECE66D ^ int64(h)*0x2545F4914F6CDD1D)
 		var loop func(now sim.Time)
 		loop = func(now sim.Time) {
 			if now > horizon {
@@ -328,7 +328,7 @@ func (p *Permutation) AvgUtil() float64 { return p.Load }
 // Start implements Workload.
 func (p *Permutation) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	n := tgt.NumHosts()
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := newStream(p.Seed)
 	perm := rng.Perm(n)
 	meanGapSec := float64(p.MsgBytes*8) / (p.Load * float64(p.LineRate))
 	for h := 0; h < n; h++ {
@@ -337,7 +337,7 @@ func (p *Permutation) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 		if dst == h {
 			dst = (dst + 1) % n
 		}
-		hrng := rand.New(rand.NewSource(p.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := newStream(p.Seed ^ int64(h)*0x2545F4914F6CDD1D)
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {
@@ -379,7 +379,7 @@ func (p *Hotspot) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 	meanGapSec := float64(p.MsgBytes*8) / (p.Load * float64(p.LineRate))
 	for h := 0; h < n; h++ {
 		h := h
-		hrng := rand.New(rand.NewSource(p.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := newStream(p.Seed ^ int64(h)*0x2545F4914F6CDD1D)
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {
@@ -427,7 +427,7 @@ func (p *Tornado) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 		if dst == h {
 			dst = (dst + 1) % n
 		}
-		hrng := rand.New(rand.NewSource(p.Seed ^ int64(h)*0x2545F4914F6CDD1D))
+		hrng := newStream(p.Seed ^ int64(h)*0x2545F4914F6CDD1D)
 		var send func(now sim.Time)
 		send = func(now sim.Time) {
 			if now > horizon {

@@ -195,7 +195,7 @@ func (r *run) attach() error {
 	r.warmup = simTime(cfg.Warmup)
 	r.horizon = r.warmup + simTime(cfg.Duration)
 	var err error
-	if r.plan, err = buildPlan(cfg, r.warmup, r.horizon); err != nil {
+	if r.plan, err = buildPlan(cfg, r.t.NumHosts(), r.warmup, r.horizon); err != nil {
 		return err
 	}
 

@@ -229,11 +229,11 @@ func streamSeed(seed int64, phase int, name string, idx int) int64 {
 	return scenario.PhaseSeed(seed, name, fmt.Sprintf("traffic:%d", idx))
 }
 
-// buildPlan resolves cfg into its executable phases. warmup and horizon
-// are the run's absolute boundaries.
-func buildPlan(cfg Config, warmup, horizon sim.Time) (*runPlan, error) {
+// buildPlan resolves cfg into its executable phases for a topology of
+// hosts hosts. warmup and horizon are the run's absolute boundaries.
+func buildPlan(cfg Config, hosts int, warmup, horizon sim.Time) (*runPlan, error) {
 	if cfg.Scenario == nil {
-		src, err := implicitSource(cfg)
+		src, err := implicitSource(cfg, hosts)
 		if err != nil {
 			return nil, err
 		}
@@ -278,8 +278,10 @@ func buildPlan(cfg Config, warmup, horizon sim.Time) (*runPlan, error) {
 }
 
 // implicitSource wraps the legacy single-workload Config fields as one
-// streaming source — the same constructors a scenario phase uses.
-func implicitSource(cfg Config) (scenario.Source, error) {
+// streaming source — the same constructors a scenario phase uses. A
+// trace is checked against the topology's hosts here, so a record naming
+// a missing host fails the run before it starts.
+func implicitSource(cfg Config, hosts int) (scenario.Source, error) {
 	if cfg.Workload == WorkloadTrace {
 		f, err := os.Open(cfg.TracePath)
 		if err != nil {
@@ -290,7 +292,11 @@ func implicitSource(cfg Config) (scenario.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		return scenario.FromWorkload(&traffic.Replay{Label: cfg.TracePath, Records: recs}), nil
+		replay := &traffic.Replay{Label: cfg.TracePath, Records: recs}
+		if err := replay.CheckHosts(hosts); err != nil {
+			return nil, fieldErr("TracePath", "%v", err)
+		}
+		return scenario.FromWorkload(replay), nil
 	}
 	return scenario.NewSource(
 		scenario.Traffic{Workload: string(cfg.Workload), Load: cfg.Load}, cfg.Seed)
