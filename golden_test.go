@@ -70,6 +70,9 @@ func TestPowerTraceGolden(t *testing.T) {
 //	      -duration 500us -warmup 100us -sample-interval 50us \
 //	      -metrics-out results/telemetry_example.csv \
 //	      -heatmap-out results/heatmap_example.csv
+//
+// and, for the JSON Lines encoding, the same command with
+// -metrics-out results/telemetry_example.jsonl.
 func TestTelemetryExampleGoldens(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig()
@@ -81,12 +84,19 @@ func TestTelemetryExampleGoldens(t *testing.T) {
 	cfg.SampleInterval = 50 * time.Microsecond
 	cfg.MetricsOut = filepath.Join(dir, "telemetry.csv")
 	cfg.HeatmapOut = filepath.Join(dir, "heatmap.csv")
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
+	jcfg := cfg
+	jcfg.MetricsOut = filepath.Join(dir, "telemetry.jsonl")
+	jcfg.HeatmapOut = filepath.Join(dir, "heatmap-jsonl-run.csv")
+	for _, c := range []Config{cfg, jcfg} {
+		if _, err := Run(c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, f := range []struct{ got, golden string }{
 		{cfg.MetricsOut, "telemetry_example.csv"},
+		{jcfg.MetricsOut, "telemetry_example.jsonl"},
 		{cfg.HeatmapOut, "heatmap_example.csv"},
+		{jcfg.HeatmapOut, "heatmap_example.csv"},
 	} {
 		got, err := os.ReadFile(f.got)
 		if err != nil {
