@@ -21,13 +21,18 @@ vet:
 	$(GO) vet ./...
 
 # A few seconds of coverage-guided fuzzing per parser and per identity
-# contract: the fault-schedule parser, the binary trace reader, and the
-# lazy traffic RNG against math/rand. Crashers land in testdata/fuzz.
+# contract: the fault-schedule parser, Config's JSON codec, the scenario
+# DSL, the binary trace reader, the lazy traffic RNG against math/rand,
+# and the metric-value formatter against strconv. Crashers land in
+# testdata/fuzz.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigJSON$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/traffic/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/traffic/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendValue$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
 
 # Hot-path microbenchmarks: event engine scheduling and fabric
 # packet throughput (ns/op, allocs/op), plus the figure regenerators.

@@ -55,6 +55,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BPerHost    float64 `json:"b_per_host,omitempty"`
 	NsPerHost   float64 `json:"ns_per_host,omitempty"`
+	NsPerSeries float64 `json:"ns_per_series,omitempty"`
 }
 
 // parseLine extracts a Result from one `go test -bench` output line, or
@@ -94,6 +95,8 @@ func parseLine(line string) (Result, bool) {
 			res.BPerHost = v
 		case "ns/host":
 			res.NsPerHost = v
+		case "ns/series":
+			res.NsPerSeries = v
 		}
 	}
 	return res, true

@@ -52,6 +52,12 @@ func TestParseLine(t *testing.T) {
 	if !ok || res.BPerHost != 2345 || res.NsPerHost != 2218 {
 		t.Errorf("build metrics: ok=%v res=%+v", ok, res)
 	}
+
+	// Per-series sampling cost from BenchmarkSamplerTick.
+	res, ok = parseLine("BenchmarkSamplerTick-2 3986 270301 ns/op 65.99 ns/series 0 B/op 0 allocs/op")
+	if !ok || res.NsPerSeries != 65.99 || res.AllocsPerOp != 0 {
+		t.Errorf("sampler metrics: ok=%v res=%+v", ok, res)
+	}
 }
 
 // TestBuildMemory exercises the construction-cost section: growth

@@ -3,6 +3,7 @@ package epnet
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"time"
 
@@ -169,6 +170,9 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 			return fieldErr(f, "unknown config field %q", f)
 		}
 		return fieldErr("Config", "%v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fieldErr("Config", "trailing data after the config object")
 	}
 	c.unwire(w)
 	return nil

@@ -349,10 +349,12 @@ func PaperConfig() Config {
 	return c
 }
 
-// Validate fills defaults and rejects inconsistent configurations.
-// Every error it returns matches ErrInvalidConfig under errors.Is and
-// carries the offending field name in a *ConfigFieldError; unknown enum
-// values additionally match the corresponding ErrUnknown* sentinel.
+// Validate fills defaults and rejects inconsistent configurations,
+// including durations the simulator clock cannot hold (past
+// maxSimDuration). Every error it returns matches ErrInvalidConfig
+// under errors.Is and carries the offending field name in a
+// *ConfigFieldError; unknown enum values additionally match the
+// corresponding ErrUnknown* sentinel.
 func (c *Config) Validate() error {
 	if c.Topology == "" {
 		c.Topology = TopoFBFLY
@@ -413,11 +415,13 @@ func (c *Config) Validate() error {
 	if c.Scenario != nil && c.Routing == RoutingDOR && scenarioHasChaos(c.Scenario) {
 		return fieldErr("Scenario", "chaos campaigns need adaptive routing (dead ports must be maskable)")
 	}
+	var faults fault.Schedule
 	if c.Faults != "" {
 		if c.Routing == RoutingDOR {
 			return fieldErr("Faults", "fault injection needs adaptive routing (dead ports must be maskable)")
 		}
-		if _, err := fault.ParseSchedule(c.Faults); err != nil {
+		var err error
+		if faults, err = fault.ParseSchedule(c.Faults); err != nil {
 			return fieldErr("Faults", "%v", err)
 		}
 	}
@@ -450,6 +454,9 @@ func (c *Config) Validate() error {
 	if c.Reactivation < 0 {
 		return fieldErr("Reactivation", "must be >= 0, got %v", c.Reactivation)
 	}
+	if c.Reactivation > maxSimDuration { // before the Epoch default multiplies it
+		return clockErr("Reactivation", c.Reactivation)
+	}
 	if c.Epoch == 0 {
 		c.Epoch = 10 * c.Reactivation
 	}
@@ -471,6 +478,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Warmup < 0 {
 		return fieldErr("Warmup", "must be >= 0, got %v", c.Warmup)
+	}
+	if err := c.checkClock(faults); err != nil {
+		return err
 	}
 	if c.MaxPacket == 0 {
 		c.MaxPacket = 2048
@@ -498,6 +508,66 @@ func (c *Config) Validate() error {
 	}
 	if c.Shards > 1 && c.TraceOut != "" {
 		return fieldErr("TraceOut", "packet tracing requires the serial engine (Shards <= 1)")
+	}
+	return nil
+}
+
+// checkClock rejects durations the simulator clock cannot hold. It
+// counts picoseconds in an int64, so simTime wraps past maxSimDuration
+// and a run would silently do nothing or schedule into the past.
+// Scripted faults fire at an offset from the end of the warmup (Faults)
+// or from their phase's measured start (chaos scripts), so each sum
+// must fit too.
+func (c *Config) checkClock(faults fault.Schedule) error {
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"Warmup", c.Warmup},
+		{"Epoch", c.Epoch},
+		{"SampleInterval", c.SampleInterval},
+		{"PowerSampleEvery", c.PowerSampleEvery},
+		{"FaultMTTR", c.FaultMTTR},
+	} {
+		if f.d > maxSimDuration {
+			return clockErr(f.name, f.d)
+		}
+	}
+	if c.Duration > maxSimDuration-c.Warmup {
+		return fieldErr("Duration", "warmup %v + duration %v exceeds the simulator clock's range of %v",
+			c.Warmup, c.Duration, maxSimDuration)
+	}
+	offsetsFit := func(sched fault.Schedule, from time.Duration) bool {
+		for _, ev := range sched {
+			if ev.At > maxSimDuration-from {
+				return false
+			}
+		}
+		return true
+	}
+	if !offsetsFit(faults, c.Warmup) {
+		return fieldErr("Faults", "an offset past warmup %v exceeds the simulator clock's range of %v",
+			c.Warmup, maxSimDuration)
+	}
+	if c.Scenario == nil {
+		return nil
+	}
+	start := c.Warmup // phase 0's measured start; each later phase follows on
+	for _, ph := range c.Scenario.Phases {
+		if ch := ph.Chaos; ch != nil {
+			if ch.MTTR.D() > maxSimDuration || ch.GroupMTTR.D() > maxSimDuration {
+				return fieldErr("Scenario", "phase %q: chaos MTTR exceeds the simulator clock's range of %v",
+					ph.Name, maxSimDuration)
+			}
+			if ch.Script != "" {
+				sched, _ := fault.ParseSchedule(ch.Script) // scenario validation parsed it
+				if !offsetsFit(sched, start) {
+					return fieldErr("Scenario", "phase %q: a chaos offset exceeds the simulator clock's range of %v",
+						ph.Name, maxSimDuration)
+				}
+			}
+		}
+		start += ph.Duration.D()
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package epnet
 import (
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Sentinel errors for configuration problems. Every error returned by
@@ -65,6 +66,11 @@ func (e *ConfigFieldError) Unwrap() []error {
 // fieldErr builds a ConfigFieldError for field with a formatted reason.
 func fieldErr(field, format string, args ...any) error {
 	return &ConfigFieldError{Field: field, Reason: fmt.Sprintf(format, args...)}
+}
+
+// clockErr reports a duration past the simulator clock's range.
+func clockErr(field string, d time.Duration) error {
+	return fieldErr(field, "%v exceeds the simulator clock's range of %v", d, maxSimDuration)
 }
 
 // enumErr is fieldErr plus an extra sentinel for unknown enum values.

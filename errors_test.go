@@ -50,6 +50,36 @@ func TestConfigErrorsCarryFieldNames(t *testing.T) {
 		{"Duration", func(c *Config) { c.Duration = 0 }, nil},
 		{"Warmup", func(c *Config) { c.Warmup = -1 }, nil},
 		{"MaxPacket", func(c *Config) { c.MaxPacket = 32 }, nil},
+		// Durations past the picosecond clock (about 2,562 h) would wrap
+		// in simTime and run nothing.
+		{"Duration", func(c *Config) { c.Duration = 3000 * time.Hour }, nil},
+		{"Duration", func(c *Config) { c.Warmup = 2000 * time.Hour; c.Duration = 600 * time.Hour }, nil},
+		{"Warmup", func(c *Config) { c.Warmup = 2600 * time.Hour; c.Duration = time.Microsecond }, nil},
+		{"Reactivation", func(c *Config) { c.Reactivation = 3000 * time.Hour }, nil},
+		{"Epoch", func(c *Config) { c.Epoch = 3000 * time.Hour }, nil},
+		{"SampleInterval", func(c *Config) { c.SampleInterval = 3000 * time.Hour }, nil},
+		{"PowerSampleEvery", func(c *Config) { c.PowerSampleEvery = 3000 * time.Hour }, nil},
+		{"FaultMTTR", func(c *Config) { c.FaultRate = 0.5; c.FaultMTTR = 3000 * time.Hour }, nil},
+		{"Faults", func(c *Config) { c.Faults = "3000h fail-link s0p4" }, nil},
+		{"Scenario", func(c *Config) {
+			c.Scenario = &Scenario{Version: 1, Phases: []ScenarioPhase{
+				{Name: "day", Duration: Duration(1500 * time.Hour)},
+				{Name: "night", Duration: Duration(1500 * time.Hour)},
+			}}
+		}, nil},
+		{"Scenario", func(c *Config) {
+			c.Scenario = &Scenario{Version: 1, Phases: []ScenarioPhase{
+				{Name: "day", Duration: Duration(2000 * time.Hour)},
+				{Name: "storm", Duration: Duration(time.Millisecond),
+					Chaos: &PhaseChaos{Script: "600h fail-link s0p4"}},
+			}}
+		}, nil},
+		{"Scenario", func(c *Config) {
+			c.Scenario = &Scenario{Version: 1, Phases: []ScenarioPhase{
+				{Name: "storm", Duration: Duration(time.Millisecond),
+					Chaos: &PhaseChaos{Rate: 1, MTTR: Duration(3000 * time.Hour)}},
+			}}
+		}, nil},
 	}
 	for _, tc := range cases {
 		cfg := base()

@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -244,7 +245,7 @@ func Parse(data []byte) (*Scenario, error) {
 	}
 	// Trailing garbage after the document is a malformed file, not a
 	// second scenario.
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, errf("", "trailing data after scenario document")
 	}
 	if err := s.Validate(); err != nil {

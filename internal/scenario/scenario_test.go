@@ -1,7 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -300,4 +304,53 @@ func TestSourceParityWithConstructors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseScenario feeds the scenario parser arbitrary documents. It
+// must never panic; a rejection is a *Error; an accepted document is
+// valid JSON and round-trips: marshaled, it parses again and marshals
+// to the same bytes.
+func FuzzParseScenario(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no scenario library to seed from (%v)", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(valid))
+	f.Add([]byte(`{"version": 1, "phases": [{"name": "a", "duration": "1ms"}]}]`))
+	f.Add([]byte(`{"version": 1, "phases": [{"name": "a", "duration": 5}, {"name": "a", "duration": "1us"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			var se *Error
+			if !errors.As(err, &se) {
+				t.Fatalf("%q: error %v (%T) is not a *scenario.Error", data, err, err)
+			}
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted invalid JSON %q", data)
+		}
+		first, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal %q: %v", data, err)
+		}
+		back, err := Parse(first)
+		if err != nil {
+			t.Fatalf("re-parsing %s: %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the document:\n%s\n%s", first, second)
+		}
+	})
 }

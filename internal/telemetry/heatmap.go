@@ -119,7 +119,7 @@ func (h *Heatmap) WriteCSV(w io.Writer) error {
 		bw.WriteString(label)
 		for j := range h.times {
 			bw.WriteByte(',')
-			bw.WriteString(fmtValue(h.cols[j][i]))
+			bw.Write(appendValue(bw.AvailableBuffer(), h.cols[j][i]))
 		}
 		bw.WriteByte('\n')
 	}

@@ -162,22 +162,22 @@ func (h *Histogram) WriteCSV(w io.Writer) error {
 	bw.WriteString("le,count,cum_count,cum_fraction\n")
 	var cum int64
 	for i, c := range h.counts {
-		upper := "+Inf"
 		if i < len(h.uppers) {
-			upper = fmtValue(h.uppers[i])
+			bw.Write(appendValue(bw.AvailableBuffer(), h.uppers[i]))
+		} else {
+			bw.WriteString("+Inf")
 		}
 		cum += c
 		frac := 0.0
 		if h.n > 0 {
 			frac = float64(cum) / float64(h.n)
 		}
-		bw.WriteString(upper)
 		bw.WriteByte(',')
 		bw.WriteString(strconv.FormatInt(c, 10))
 		bw.WriteByte(',')
 		bw.WriteString(strconv.FormatInt(cum, 10))
 		bw.WriteByte(',')
-		bw.WriteString(fmtValue(frac))
+		bw.Write(appendValue(bw.AvailableBuffer(), frac))
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()

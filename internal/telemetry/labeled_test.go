@@ -316,25 +316,28 @@ func TestSamplerBoundaryRow(t *testing.T) {
 	}
 	const interval = 10 * sim.Microsecond
 	const horizon = 20 * sim.Microsecond // exact multiple of interval
-	s, err := NewSampler(r, interval)
+	var out bytes.Buffer
+	s, err := NewSampler(r, interval, &out, CSV)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start(e, horizon)
 	e.RunUntil(horizon)
-	s.Finish(e.Now())
+	if err := s.Finish(e.Now()); err != nil {
+		t.Fatal(err)
+	}
 
 	want := []sim.Time{0, 10 * sim.Microsecond, horizon}
-	times := s.Times()
+	times, rows := parseSeries(t, out.Bytes())
 	if len(times) != len(want) {
 		t.Fatalf("samples = %v, want %v", times, want)
 	}
 	for i := range want {
-		if times[i] != want[i] {
-			t.Errorf("sample %d at %v, want %v", i, times[i], want[i])
+		if times[i] != want[i].Microseconds() {
+			t.Errorf("sample %d at %v us, want %v", i, times[i], want[i])
 		}
 	}
-	if got := s.Row(len(times) - 1)[0]; got != horizon.Microseconds() {
+	if got := rows[len(rows)-1][0]; got != horizon.Microseconds() {
 		t.Errorf("boundary row sampled at %v us, want %v", got, horizon.Microseconds())
 	}
 }
@@ -363,7 +366,7 @@ func TestSamplerOnSampleHook(t *testing.T) {
 	if _, err := r.Counter("c"); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSampler(r, 10*sim.Microsecond)
+	s, err := NewSampler(r, 10*sim.Microsecond, nil, CSV)
 	if err != nil {
 		t.Fatal(err)
 	}

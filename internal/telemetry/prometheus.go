@@ -86,7 +86,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			bw.WriteString(pn)
 			writeLabels(bw, e.labels)
 			bw.WriteByte(' ')
-			bw.WriteString(fmtValue(e.read()))
+			bw.Write(appendValue(bw.AvailableBuffer(), e.read()))
 			bw.WriteByte('\n')
 		}
 	}
@@ -98,7 +98,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for i, c := range h.counts {
 			upper := "+Inf"
 			if i < len(h.uppers) {
-				upper = fmtValue(h.uppers[i])
+				upper = string(appendValue(nil, h.uppers[i]))
 			}
 			cum += c
 			bw.WriteString(pn)
@@ -112,7 +112,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteString("_sum")
 		writeLabels(bw, h.labels)
 		bw.WriteByte(' ')
-		bw.WriteString(fmtValue(h.sum))
+		bw.Write(appendValue(bw.AvailableBuffer(), h.sum))
 		bw.WriteByte('\n')
 		bw.WriteString(pn)
 		bw.WriteString("_count")

@@ -1,9 +1,8 @@
 // Package telemetry is the simulator's observability substrate: a
 // metrics registry components register named counters and gauges into,
-// a periodic sampler that snapshots those metrics into an in-memory
-// time series (streamed out as CSV or JSONL), and an event tracer
-// emitting Chrome trace_event JSON for inspection in chrome://tracing
-// or Perfetto.
+// a periodic sampler that streams those metrics as CSV or JSON Lines
+// rows as they are taken, and an event tracer emitting Chrome
+// trace_event JSON for inspection in chrome://tracing or Perfetto.
 //
 // The design constraint throughout is that the instrumented hot path
 // pays nothing when telemetry is disabled: counters and gauges are

@@ -3,6 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -110,6 +114,31 @@ func BenchmarkGaugeSet(b *testing.B) {
 	}
 }
 
+// parseSeries parses a sampler's CSV stream into, per row, the sample
+// time in microseconds and the metric values.
+func parseSeries(t *testing.T, data []byte) (times []float64, rows [][]float64) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	header := strings.Split(lines[0], ",")
+	for _, line := range lines[1:] {
+		cells := strings.Split(line, ",")
+		if len(cells) != len(header) {
+			t.Fatalf("row %q has %d cells, header has %d", line, len(cells), len(header))
+		}
+		vals := make([]float64, len(cells))
+		for i, c := range cells {
+			v, err := strconv.ParseFloat(c, 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			vals[i] = v
+		}
+		times = append(times, vals[0])
+		rows = append(rows, vals[1:])
+	}
+	return times, rows
+}
+
 // TestSamplerPartialLastInterval drives a sampler through a horizon
 // that is not a multiple of the interval: ticks land on the grid and
 // Finish adds the partial final sample exactly once.
@@ -121,65 +150,73 @@ func TestSamplerPartialLastInterval(t *testing.T) {
 	}
 	const interval = 10 * sim.Microsecond
 	const horizon = 25 * sim.Microsecond
-	s, err := NewSampler(r, interval)
+	var out bytes.Buffer
+	s, err := NewSampler(r, interval, &out, CSV)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start(e, horizon)
 	e.RunUntil(horizon)
-	s.Finish(e.Now())
+	if err := s.Finish(e.Now()); err != nil {
+		t.Fatal(err)
+	}
 
 	want := []sim.Time{0, 10 * sim.Microsecond, 20 * sim.Microsecond, horizon}
-	times := s.Times()
+	times, rows := parseSeries(t, out.Bytes())
 	if len(times) != len(want) {
 		t.Fatalf("samples = %v, want %v", times, want)
 	}
 	for i := range want {
-		if times[i] != want[i] {
-			t.Errorf("sample %d at %v, want %v", i, times[i], want[i])
+		if times[i] != want[i].Microseconds() {
+			t.Errorf("sample %d at %v us, want %v", i, times[i], want[i])
 		}
-		if got := s.Row(i)[0]; got != want[i].Microseconds() {
+		if got := rows[i][0]; got != want[i].Microseconds() {
 			t.Errorf("sample %d value %v, want %v", i, got, want[i].Microseconds())
 		}
 	}
 	// Finish on a horizon that coincides with the last tick must not
 	// produce a duplicate row.
-	before := s.Samples()
-	s.Finish(horizon)
-	if s.Samples() != before {
+	before := out.Len()
+	if err := s.Finish(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != before {
 		t.Error("Finish duplicated the final sample")
 	}
 }
 
 func TestSamplerRejectsBadInterval(t *testing.T) {
-	if _, err := NewSampler(NewRegistry(), 0); err == nil {
+	if _, err := NewSampler(NewRegistry(), 0, nil, CSV); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if _, err := NewSampler(NewRegistry(), -sim.Microsecond); err == nil {
+	if _, err := NewSampler(NewRegistry(), -sim.Microsecond, nil, CSV); err == nil {
 		t.Error("negative interval accepted")
 	}
 }
 
 func TestSamplerCSVAndJSONL(t *testing.T) {
-	e := sim.New()
-	r := NewRegistry()
-	c, _ := r.Counter("net.pkts")
-	s, err := NewSampler(r, 5*sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
+	stream := func(enc Encoding) string {
+		e := sim.New()
+		r := NewRegistry()
+		c, _ := r.Counter("net.pkts")
+		var out bytes.Buffer
+		s, err := NewSampler(r, 5*sim.Microsecond, &out, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start(e, 10*sim.Microsecond)
+		c.Add(3)
+		e.RunUntil(10 * sim.Microsecond)
+		if err := s.Finish(e.Now()); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
 	}
-	s.Start(e, 10*sim.Microsecond)
-	c.Add(3)
-	e.RunUntil(10 * sim.Microsecond)
-	s.Finish(e.Now())
 
-	var csv bytes.Buffer
-	if err := s.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
+	csv := stream(CSV)
+	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 4 { // header + t=0,5,10us
-		t.Fatalf("CSV lines = %d:\n%s", len(lines), csv.String())
+		t.Fatalf("CSV lines = %d:\n%s", len(lines), csv)
 	}
 	if lines[0] != "t_us,net.pkts" {
 		t.Errorf("CSV header = %q", lines[0])
@@ -188,11 +225,8 @@ func TestSamplerCSVAndJSONL(t *testing.T) {
 		t.Errorf("CSV rows = %q", lines[1:])
 	}
 
-	var jl bytes.Buffer
-	if err := s.WriteJSONL(&jl); err != nil {
-		t.Fatal(err)
-	}
-	jlines := strings.Split(strings.TrimSpace(jl.String()), "\n")
+	jl := stream(JSONL)
+	jlines := strings.Split(strings.TrimSpace(jl), "\n")
 	if len(jlines) != 3 {
 		t.Fatalf("JSONL lines = %d", len(jlines))
 	}
@@ -209,6 +243,127 @@ func TestSamplerCSVAndJSONL(t *testing.T) {
 			t.Errorf("line %d missing metric: %s", i, line)
 		}
 	}
+}
+
+// errWriter fails every write.
+type errWriter struct{ n int }
+
+func (w *errWriter) Write(p []byte) (int, error) {
+	w.n++
+	return 0, errors.New("disk full")
+}
+
+// TestSamplerLatchesWriteError: the sink's first write error is kept
+// and returned by Finish, and the sampler stops writing after it. Each
+// row is larger than flushAt, so without the latch every tick would
+// write.
+func TestSamplerLatchesWriteError(t *testing.T) {
+	e := sim.New()
+	w := &errWriter{}
+	s, err := NewSampler(tickRegistry(flushAt/2), sim.Microsecond, w, CSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(e, 10*sim.Microsecond)
+	e.RunUntil(10 * sim.Microsecond)
+	if err := s.Finish(e.Now()); err == nil || err.Error() != "disk full" {
+		t.Errorf("Finish = %v, want the sink's write error", err)
+	}
+	if err := s.Finish(e.Now()); err == nil {
+		t.Error("second Finish lost the latched error")
+	}
+	if w.n != 1 {
+		t.Errorf("sink saw %d writes, want 1 (none after the first failure)", w.n)
+	}
+}
+
+// tickRegistry registers n series whose values mix zeros, other
+// integers and fractions in roughly the proportions a paper-scale run
+// samples (about half zero, three quarters integral).
+func tickRegistry(n int) *Registry {
+	r := NewRegistry()
+	for i := 0; i < n; i++ {
+		v := 0.0
+		switch i % 4 {
+		case 1:
+			v = float64(i * 37)
+		case 2:
+			v = 0.1 + float64(i)/3
+		}
+		if err := r.GaugeFunc("s."+strconv.Itoa(i), func() float64 { return v }); err != nil {
+			panic(err)
+		}
+	}
+	return r
+}
+
+// TestSamplerTickZeroAlloc pins the streaming contract: once the line
+// buffer has grown to its working size, a sample tick allocates
+// nothing, whether it encodes a row or, without a sink, only paces
+// OnSample.
+func TestSamplerTickZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sink io.Writer
+	}{{"csv", io.Discard}, {"no-sink", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.New()
+			s, err := NewSampler(tickRegistry(1000), sim.Microsecond, tc.sink, CSV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Start(e, sim.Microsecond)
+			for i := 0; i < 100; i++ { // grow the line buffer to its working size
+				s.sample(e.Now())
+			}
+			if n := testing.AllocsPerRun(100, func() { s.sample(e.Now()) }); n != 0 {
+				t.Errorf("sample tick allocates %v times, want 0", n)
+			}
+		})
+	}
+}
+
+// BenchmarkSamplerTick measures one sample tick of a 4,096-series
+// registry streamed as CSV: the registry read plus the encoding, in ns
+// per series.
+func BenchmarkSamplerTick(b *testing.B) {
+	const series = 4096
+	e := sim.New()
+	s, err := NewSampler(tickRegistry(series), sim.Microsecond, io.Discard, CSV)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Start(e, sim.Microsecond)
+	for i := 0; i < 100; i++ { // grow the line buffer to its working size
+		s.sample(e.Now())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.sample(e.Now())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*series), "ns/series")
+}
+
+// FuzzAppendValue checks the sampled-value formatter against the
+// reference rendering, strconv.FormatFloat(v, 'g', -1, 64), byte for
+// byte, including after a non-empty prefix.
+func FuzzAppendValue(f *testing.F) {
+	for _, v := range []float64{
+		math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		999999, -999999, 1e6, -1e6, 1 << 53, 5e-324, 1e21,
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		want := strconv.FormatFloat(v, 'g', -1, 64)
+		if got := string(appendValue(nil, v)); got != want {
+			t.Errorf("appendValue(%v) = %q, want %q", v, got, want)
+		}
+		if got := string(appendValue([]byte("x,"), v)); got != "x,"+want {
+			t.Errorf("appendValue(x, %v) = %q, want %q", v, got, "x,"+want)
+		}
+	})
 }
 
 // TestTracerJSONRoundTrip validates the emitted Chrome trace against

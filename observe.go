@@ -52,37 +52,44 @@ var utilBuckets = []float64{
 // disabled, so Run pays nothing for observability it did not ask for.
 type observer struct {
 	*run
-	flowChans []string
-	reg       *telemetry.Registry
-	sampler   *telemetry.Sampler
-	heatmap   *telemetry.Heatmap
-	tracer    *telemetry.Tracer
-	traceFile *os.File
-	snapBuf   bytes.Buffer
-	promBuf   bytes.Buffer
-	profBuf   bytes.Buffer
-	flowBuf   bytes.Buffer
-	done      bool
+	flowChans   []string
+	reg         *telemetry.Registry
+	sampler     *telemetry.Sampler
+	metricsFile *os.File
+	heatmap     *telemetry.Heatmap
+	tracer      *telemetry.Tracer
+	traceFile   *os.File
+	snapBuf     bytes.Buffer
+	promBuf     bytes.Buffer
+	profBuf     bytes.Buffer
+	flowBuf     bytes.Buffer
+	done        bool
 }
 
 // newObserver builds and starts the telemetry the run's config asks
-// for. The sampler takes its baseline immediately (at the engine's
-// current time, normally 0) and ticks until the horizon; the tracer is
-// attached to the network, controller and injector. On error, any
-// trace file already created is closed.
-func newObserver(r *run) (o *observer, err error) {
+// for. The trace and metrics files are created here, so a bad path
+// fails before the first event. The sampler writes its header and
+// baseline immediately (at the engine's current time, normally 0) and
+// streams a row every tick until the horizon; the tracer is attached to
+// the network, controller and injector. On error, every file already
+// created is closed.
+func newObserver(r *run) (_ *observer, err error) {
 	cfg, net := r.cfg, r.net
 	if cfg.MetricsOut == "" && cfg.TraceOut == "" && cfg.HeatmapOut == "" &&
 		cfg.HistOut == "" && cfg.Inspector == nil {
 		return nil, nil
 	}
-	o = &observer{run: r}
+	o := &observer{run: r}
 	if r.flow != nil && cfg.Inspector != nil {
 		o.flowChans = chanLabels(net)
 	}
 	defer func() {
-		if err != nil && o.traceFile != nil {
-			o.traceFile.Close()
+		if err != nil {
+			for _, f := range []*os.File{o.traceFile, o.metricsFile} {
+				if f != nil {
+					f.Close()
+				}
+			}
 		}
 	}()
 	if cfg.TraceOut != "" {
@@ -175,7 +182,21 @@ func newObserver(r *run) (o *observer, err error) {
 			return nil, err
 		}
 		o.reg = reg
-		s, serr := telemetry.NewSampler(reg, simTime(cfg.SampleInterval))
+		// An inspector-only run passes no sink: its sampler only paces
+		// the publisher.
+		var sink io.Writer
+		enc := telemetry.CSV
+		if cfg.MetricsOut != "" {
+			f, ferr := os.Create(cfg.MetricsOut)
+			if ferr != nil {
+				return nil, fmt.Errorf("epnet: creating metrics output: %w", ferr)
+			}
+			o.metricsFile, sink = f, f
+			if strings.HasSuffix(cfg.MetricsOut, ".jsonl") {
+				enc = telemetry.JSONL
+			}
+		}
+		s, serr := telemetry.NewSampler(reg, simTime(cfg.SampleInterval), sink, enc)
 		if serr != nil {
 			return nil, serr
 		}
@@ -316,13 +337,14 @@ func (o *observer) snapshot(now sim.Time) *snapshotDoc {
 	return doc
 }
 
-// finish takes the final (possibly partial-interval) samples, writes
-// the metrics/heatmap/histogram files, publishes the final inspection
-// documents, and terminates the trace stream. Safe on a nil observer
-// and idempotent: Run calls it on error paths too, so a canceled run
-// still flushes and closes everything it opened, and write failures
-// (including a tracer that latched an earlier disk-full error) are
-// all reported.
+// finish takes the final (possibly partial-interval) samples, flushes
+// and closes the metrics stream, writes the heatmap/histogram files,
+// publishes the final inspection documents, and terminates the trace
+// stream. Safe on a nil observer and idempotent: Run calls it on error
+// paths too, so a canceled run still flushes and closes everything it
+// opened — its metrics file keeps every row sampled so far — and write
+// failures (including a sampler or tracer that latched an earlier
+// disk-full error) are all reported.
 func (o *observer) finish(now sim.Time) error {
 	if o == nil || o.done {
 		return nil
@@ -330,11 +352,14 @@ func (o *observer) finish(now sim.Time) error {
 	o.done = true
 	var errs []error
 	if o.sampler != nil {
-		o.sampler.Finish(now)
-		if o.cfg.MetricsOut != "" {
-			if err := writeFile(o.cfg.MetricsOut, o.writeSeries); err != nil {
-				errs = append(errs, fmt.Errorf("epnet: writing metrics: %w", err))
+		err := o.sampler.Finish(now)
+		if o.metricsFile != nil {
+			if cerr := o.metricsFile.Close(); err == nil {
+				err = cerr
 			}
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("epnet: writing metrics: %w", err))
 		}
 	}
 	if o.heatmap != nil {
@@ -378,13 +403,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// writeSeries streams the sampled series in the format implied by the
-// output path's extension.
-func (o *observer) writeSeries(w io.Writer) error {
-	if strings.HasSuffix(o.cfg.MetricsOut, ".jsonl") {
-		return o.sampler.WriteJSONL(w)
-	}
-	return o.sampler.WriteCSV(w)
 }

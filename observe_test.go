@@ -1,7 +1,10 @@
 package epnet
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -91,6 +94,80 @@ func TestRunWritesMetricsJSONL(t *testing.T) {
 		if len(row.Metrics) == 0 {
 			t.Fatalf("row at t=%v has no metrics", row.TUs)
 		}
+	}
+}
+
+// TestOutputPathErrorsFailBeforeRun: the metrics and trace files are
+// created when the run is set up, so a path in a missing directory
+// fails at once instead of after a run that would take minutes.
+func TestOutputPathErrorsFailBeforeRun(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
+	for _, field := range []string{"MetricsOut", "TraceOut"} {
+		t.Run(field, func(t *testing.T) {
+			cfg := observeConfig()
+			cfg.Duration = time.Minute // minutes of wall time if it ran
+			if field == "MetricsOut" {
+				cfg.MetricsOut = missing
+			} else {
+				cfg.TraceOut = missing
+			}
+			start := time.Now()
+			_, err := Run(cfg)
+			if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Run = %v, want a missing-directory error", err)
+			}
+			if took := time.Since(start); took > 10*time.Second {
+				t.Errorf("bad %s path failed after %v; want before the run starts", field, took)
+			}
+		})
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// (n+1)th call on. advance checks Err once per epoch, so the run stops
+// at exactly n epochs.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestCanceledRunKeepsMetrics: the rows sampled before a cancellation
+// are in the metrics file, ending with a final sample at the instant
+// the run stopped.
+func TestCanceledRunKeepsMetrics(t *testing.T) {
+	cfg := observeConfig()
+	cfg.MetricsOut = filepath.Join(t.TempDir(), "metrics.csv")
+	cfg.SampleInterval = 50 * time.Microsecond
+	// 10 µs epochs: canceled at 230 µs, past the warmup and off the
+	// sample grid.
+	_, err := RunContext(&cancelAfter{Context: context.Background(), n: 23}, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+	data, err := os.ReadFile(cfg.MetricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	if !strings.HasPrefix(lines[0], "t_us,") {
+		t.Fatalf("header = %.40q", lines[0])
+	}
+	var times []string
+	for _, line := range lines[1:] {
+		times = append(times, line[:strings.IndexByte(line, ',')])
+	}
+	if got, want := strings.Join(times, " "), "0 50 100 150 200 230"; got != want {
+		t.Errorf("sampled at %s us, want %s", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"epnet/internal/core"
@@ -20,7 +21,12 @@ import (
 )
 
 // simTime converts a wall-clock-style duration to simulator picoseconds.
+// Durations past maxSimDuration overflow; Validate rejects them.
 func simTime(d time.Duration) sim.Time { return sim.Time(d.Nanoseconds()) * sim.Nanosecond }
+
+// maxSimDuration is the longest duration simTime converts exactly: the
+// simulator clock counts picoseconds in an int64, about 2,562 hours.
+const maxSimDuration = time.Duration(math.MaxInt64 / int64(sim.Nanosecond))
 
 // toDuration converts simulator time back to a time.Duration
 // (picoseconds truncate to nanoseconds).

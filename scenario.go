@@ -164,7 +164,17 @@ func (c *Config) validateScenario() error {
 				"phase %q: unknown policy %q", ph.Name, ph.Policy.Kind)
 		}
 	}
-	c.Duration = s.TotalDuration()
+	// Summed here rather than by TotalDuration so that phases past the
+	// simulator clock are rejected before the sum can overflow.
+	var total time.Duration
+	for _, ph := range s.Phases {
+		if ph.Duration.D() > maxSimDuration-total {
+			return fieldErr("Scenario", "phases through %q last past the simulator clock's range of %v",
+				ph.Name, maxSimDuration)
+		}
+		total += ph.Duration.D()
+	}
+	c.Duration = total
 	ph0 := &s.Phases[0]
 	if len(ph0.Traffic) > 0 {
 		c.Workload = WorkloadKind(ph0.Traffic[0].Workload)

@@ -1,6 +1,7 @@
 package epnet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -266,6 +267,87 @@ func TestConfigJSONStrictAndMerging(t *testing.T) {
 	if base.Warmup != 75*time.Microsecond || base.Duration != time.Millisecond {
 		t.Errorf("durations parsed to %v/%v", base.Warmup, base.Duration)
 	}
+}
+
+// FuzzConfigJSON feeds Config's strict JSON codec arbitrary documents,
+// overlaid on DefaultConfig as a scenario's config block is. It must
+// never panic; a rejection is a *ConfigFieldError matching
+// ErrInvalidConfig; an accepted document is valid JSON and reaches a
+// fixed point after one marshal, unmarshal, marshal round; and a
+// config that then validates fits the simulator clock.
+func FuzzConfigJSON(f *testing.F) {
+	for _, name := range PresetNames() {
+		p, err := Preset(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, name := range ScenarioNames() {
+		data, err := scenarioFS.ReadFile("scenarios/" + name + ".json")
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := ParseScenario(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if len(s.Config) > 0 {
+			f.Add([]byte(s.Config))
+		}
+	}
+	f.Add([]byte(`{"k": 2, "n": 2, "c": 2, "duration": "3000h"}`))
+	f.Add([]byte(`{"warmup": "2600h", "duration": "1us"}`))
+	f.Add([]byte(`{"scenario": {"version": 1, "phases": [{"name": "a", "duration": "1ms"}]}}`))
+	f.Add([]byte(`{"load": 0.3} {"load": 0.4}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		typed := func(what string, err error) {
+			var fe *ConfigFieldError
+			if !errors.As(err, &fe) || !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("%s %q: error %v (%T) is not a *ConfigFieldError matching ErrInvalidConfig", what, data, err, err)
+			}
+		}
+		cfg := DefaultConfig()
+		if err := cfg.UnmarshalJSON(data); err != nil {
+			typed("decoding", err)
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted invalid JSON %q", data)
+		}
+		first, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("marshal %q: %v", data, err)
+		}
+		var back Config
+		if err := json.Unmarshal(first, &back); err != nil {
+			t.Fatalf("re-decoding %s: %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("no fixed point:\n%s\n%s", first, second)
+		}
+		if err := cfg.Validate(); err != nil {
+			typed("validating", err)
+			return
+		}
+		if cfg.Duration > maxSimDuration-cfg.Warmup {
+			t.Errorf("%q: warmup %v + duration %v validated past the clock", data, cfg.Warmup, cfg.Duration)
+		}
+		for _, d := range []time.Duration{cfg.Warmup, cfg.Epoch, cfg.Reactivation,
+			cfg.SampleInterval, cfg.PowerSampleEvery, cfg.FaultMTTR} {
+			if d > maxSimDuration {
+				t.Errorf("%q: %v validated past the clock", data, d)
+			}
+		}
+	})
 }
 
 // TestScenarioConfigRejections is the rejected-configuration table for
