@@ -10,9 +10,8 @@
 //	epsim -scenario ops/monday.json -check
 //
 // Flags shared with the other commands live in internal/cli; epsim adds
-// only its output controls (-json, -hist, -attribution, ...) and the
-// -check lint mode, which validates a config or scenario without
-// running it.
+// only its print controls (-json, -hist) and the -check lint mode,
+// which validates a config or scenario without running it.
 package main
 
 import (
@@ -32,15 +31,10 @@ import (
 
 func main() {
 	var loader cli.Loader
-	var outputs cli.Outputs
-	loader.Bind(flag.CommandLine, epnet.DefaultConfig())
-	outputs.BindOutputs(flag.CommandLine, "epsim", false)
+	loader.Bind(flag.CommandLine, "epsim", epnet.DefaultConfig())
 
 	jsonOut := flag.Bool("json", false, "emit the full result as JSON")
 	hist := flag.Bool("hist", false, "print the packet latency histogram")
-	powerTrace := flag.Duration("power-trace", 0, "sample instantaneous power at this interval (0 = off)")
-	attribution := flag.Bool("attribution", false, "print the per-link energy attribution (top consumers)")
-	profile := flag.Bool("profile", false, "self-profile the engine and print the critical-path report (per-shard stalls, window efficiency, barrier overhead)")
 	check := flag.Bool("check", false, "validate the config (and -scenario, if given) and exit without running")
 	listScenarios := flag.Bool("list-scenarios", false, "print the embedded scenario library names and exit")
 	verbose := flag.Bool("v", false, "print the shard partition (cut quality, lookahead range) at startup")
@@ -58,24 +52,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "epsim:", err)
 		os.Exit(1)
 	}
-	// epsim-only config flags: apply only when explicitly set, so a
-	// scenario's config block keeps its values otherwise. Their defaults
-	// match the zero Config, so plain invocations are unchanged.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "power-trace":
-			cfg.PowerSampleEvery = *powerTrace
-		case "attribution":
-			cfg.Attribution = *attribution
-		case "profile":
-			cfg.Profile = *profile
-		}
-	})
-	if err := outputs.Stamp(&cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "epsim:", err)
-		os.Exit(1)
+	if cfg.TraceOut != "" && cfg.Shards == 0 {
+		// Auto-sharding resolves to the serial engine when packet tracing
+		// is on — say so instead of silently running serial. An explicit
+		// -shards > 1 with -trace-out is rejected by Validate.
+		fmt.Fprintln(os.Stderr, "epsim: -trace-out needs the serial engine; running with shards=1")
 	}
-
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "epsim:", err)
 		os.Exit(1)
@@ -202,7 +184,7 @@ func main() {
 				ps.AvgUtil*100, ps.Reconfigurations, ps.FaultEvents)
 		}
 	}
-	if *attribution && len(res.Attribution) > 0 {
+	if len(res.Attribution) > 0 {
 		top := make([]epnet.LinkAttribution, len(res.Attribution))
 		copy(top, res.Attribution)
 		sort.Slice(top, func(i, j int) bool {

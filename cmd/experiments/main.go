@@ -34,9 +34,7 @@ var errors int
 
 func main() {
 	var loader cli.Loader
-	var outputs cli.Outputs
-	loader.Bind(flag.CommandLine, epnet.DefaultEval().Config)
-	outputs.BindOutputs(flag.CommandLine, "experiments", true)
+	loader.Bind(flag.CommandLine, "experiments", epnet.DefaultEval().Config)
 
 	only := flag.String("only", "", "run a single experiment (table1, fig1, fig5, fig6, fig7, fig8, fig9a, fig9b, policies, dyntopo, routing, reactivation, oversub, topocompare, serdes, resilience, faultgrid)")
 	full := flag.Bool("full", false, "use the paper's 15-ary 3-flat scale (slow)")
@@ -49,6 +47,7 @@ func main() {
 	// -full picks the evaluation base; the shared loader then overlays
 	// -preset/-scenario and any explicitly set flags on top of it, so
 	// e.g. `experiments -full -duration 10ms` still scales the window.
+	// The base's output paths are numbered per run by the evaluation.
 	eval := epnet.DefaultEval()
 	if *full {
 		eval = epnet.PaperEval()
@@ -60,14 +59,6 @@ func main() {
 	}
 	eval.Config = cfg
 	eval.Parallel = *par
-	if outputs.MetricsOut != "" || outputs.TraceOut != "" || outputs.HeatmapOut != "" ||
-		outputs.HistOut != "" || outputs.ProfileOut != "" || outputs.Listen != "" {
-		eval.Telemetry, err = outputs.Telemetry()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

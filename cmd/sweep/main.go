@@ -39,12 +39,10 @@ import (
 
 func main() {
 	var loader cli.Loader
-	var outputs cli.Outputs
 	base := epnet.DefaultConfig()
 	base.Warmup = time.Millisecond
 	base.Duration = 4 * time.Millisecond
-	loader.Bind(flag.CommandLine, base)
-	outputs.BindOutputs(flag.CommandLine, "sweep", true)
+	loader.Bind(flag.CommandLine, "sweep", base)
 
 	axis := flag.String("x", "target", "sweep axis: target | reactivation | load | radix | fault-rate")
 	values := flag.String("values", "", "comma-separated axis values (durations for reactivation)")
@@ -129,13 +127,9 @@ func main() {
 		cfgs = append(cfgs, cfg)
 	}
 
-	// Telemetry paths are assigned in row order before the fan-out, so
+	// Output paths are numbered in row order before the fan-out, so
 	// -parallel runs write identical files and the CSV stays untouched.
-	telem, err := outputs.Telemetry()
-	if err != nil {
-		fail(err)
-	}
-	telem.Apply(cfgs)
+	epnet.NumberOutputs(cfgs, 0)
 
 	results, err := epnet.RunGrid(cfgs, *par)
 	if err != nil {

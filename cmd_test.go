@@ -66,6 +66,20 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 	})
 
+	t.Run("experiments-flows-out", func(t *testing.T) {
+		bin := buildTool(t, dir, "experiments")
+		// An output flag on its own turns the output on: each of fig7's
+		// two runs writes its own numbered report.
+		flows := filepath.Join(t.TempDir(), "f.json")
+		runTool(t, bin, "-only", "fig7", "-duration", "200us", "-warmup", "50us", "-flows-out", flows)
+		for _, name := range []string{"f.000.json", "f.001.json"} {
+			fi, err := os.Stat(filepath.Join(filepath.Dir(flows), name))
+			if err != nil || fi.Size() == 0 {
+				t.Errorf("want a non-empty %s: %v", name, err)
+			}
+		}
+	})
+
 	t.Run("tracegen-epsim-pipeline", func(t *testing.T) {
 		tg := buildTool(t, dir, "tracegen")
 		es := buildTool(t, dir, "epsim")

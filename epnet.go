@@ -266,7 +266,8 @@ type Config struct {
 
 	// FlowSample is the flow-tracing sample rate in (0,1]: the expected
 	// fraction of packets carrying a hop log. 0 defaults to 1/64. 1
-	// traces every packet (exact decompositions, highest overhead).
+	// traces every packet (exact decompositions, highest overhead). A
+	// positive rate implies FlowTrace.
 	FlowSample float64
 
 	// FlowsOut, when non-empty, writes the flow-trace report to this
@@ -491,11 +492,11 @@ func (c *Config) Validate() error {
 	if c.ProfileOut != "" {
 		c.Profile = true
 	}
-	if c.FlowsOut != "" {
-		c.FlowTrace = true
-	}
 	if c.FlowSample < 0 || c.FlowSample > 1 {
 		return fieldErr("FlowSample", "%v out of (0,1]", c.FlowSample)
+	}
+	if c.FlowsOut != "" || c.FlowSample > 0 {
+		c.FlowTrace = true
 	}
 	if c.FlowTrace && c.FlowSample == 0 {
 		c.FlowSample = 1.0 / 64

@@ -16,8 +16,9 @@ func main() {
 	// Start from the library defaults: an 8-ary 2-flat (64 hosts,
 	// 8 switches), the web-search-like workload, and the paper's
 	// halve/double link-rate policy with a 50% utilization target,
-	// 1 us reactivation and 10 us epochs. Every knob has a With*
-	// option; the two below just restate the defaults.
+	// 1 us reactivation and 10 us epochs. The common simulation knobs
+	// have With* options, and every Config field, outputs included,
+	// can be set directly; the two below just restate the defaults.
 	cfg := epnet.NewConfig(epnet.TopoFBFLY,
 		epnet.WithWorkload(epnet.WorkloadSearch),
 		epnet.WithPolicy(epnet.PolicyHalveDouble))

@@ -29,79 +29,26 @@ type EvalConfig struct {
 	// RunGrid.
 	Parallel int
 
-	// Telemetry, when non-nil, gives every simulation its own metrics
-	// and trace files (see Config.MetricsOut / TraceOut): each base
-	// path gets a run-sequence suffix before its extension, e.g.
-	// "telemetry.csv" -> "telemetry.007.csv". Suffixes are assigned in
-	// configuration order before the runs fan out, so -parallel
-	// execution writes byte-identical files and stdout is untouched.
-	Telemetry *TelemetryOpts
+	// runs counts the simulations the evaluation has started, shared by
+	// every copy, so NumberOutputs numbers the output files of all its
+	// grids consecutively.
+	runs *int
 }
 
-// TelemetryOpts configures per-run telemetry for an experiment harness.
-// The same pointer threads through every grid of an evaluation, so the
-// run sequence numbers all its simulations consecutively.
-type TelemetryOpts struct {
-	MetricsOut     string // base path for sampled time series ("" = off)
-	TraceOut       string // base path for Chrome trace files ("" = off)
-	HeatmapOut     string // base path for utilization heatmap CSVs ("" = off)
-	HistOut        string // base path for utilization histogram CSVs ("" = off)
-	ProfileOut     string // base path for engine self-profiles ("" = off)
-	FlowsOut       string // base path for flow-trace reports ("" = off)
-	FlowTrace      bool   // trace flows even without a FlowsOut file
-	FlowSample     float64
-	SampleInterval time.Duration
-
-	// Inspector, when non-nil, is shared by every simulation of the
-	// evaluation: the live endpoints always serve the most recently
-	// sampled run.
-	Inspector *Inspector
-
-	seq int // simulations numbered so far
-}
-
-// numberedPath inserts a zero-padded sequence before path's extension.
-func numberedPath(path string, n int) string {
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.%03d%s", strings.TrimSuffix(path, ext), n, ext)
-}
-
-// Apply stamps per-run output paths onto each configuration, in order.
-// It is a no-op on a nil receiver or when every output is disabled.
-func (t *TelemetryOpts) Apply(cfgs []Config) {
-	if t == nil || (t.MetricsOut == "" && t.TraceOut == "" && t.HeatmapOut == "" &&
-		t.HistOut == "" && t.ProfileOut == "" && t.FlowsOut == "" &&
-		!t.FlowTrace && t.Inspector == nil) {
-		return
-	}
+// NumberOutputs gives every configuration its own output files: each
+// non-empty output path (MetricsOut, TraceOut, HeatmapOut, HistOut,
+// ProfileOut, FlowsOut) of cfgs[i] gets the run number first+i,
+// zero-padded before its extension ("m.csv" -> "m.007.csv"). Numbering
+// before the runs fan out keeps -parallel output byte-identical.
+func NumberOutputs(cfgs []Config, first int) {
 	for i := range cfgs {
-		n := t.seq
-		t.seq++
-		cfgs[i].SampleInterval = t.SampleInterval
-		cfgs[i].Inspector = t.Inspector
-		if t.FlowTrace {
-			cfgs[i].FlowTrace = true
-		}
-		if t.FlowSample > 0 {
-			cfgs[i].FlowSample = t.FlowSample
-		}
-		if t.FlowsOut != "" {
-			cfgs[i].FlowsOut = numberedPath(t.FlowsOut, n)
-		}
-		if t.MetricsOut != "" {
-			cfgs[i].MetricsOut = numberedPath(t.MetricsOut, n)
-		}
-		if t.TraceOut != "" {
-			cfgs[i].TraceOut = numberedPath(t.TraceOut, n)
-		}
-		if t.HeatmapOut != "" {
-			cfgs[i].HeatmapOut = numberedPath(t.HeatmapOut, n)
-		}
-		if t.HistOut != "" {
-			cfgs[i].HistOut = numberedPath(t.HistOut, n)
-		}
-		if t.ProfileOut != "" {
-			cfgs[i].ProfileOut = numberedPath(t.ProfileOut, n)
+		c := &cfgs[i]
+		for _, p := range []*string{&c.MetricsOut, &c.TraceOut, &c.HeatmapOut,
+			&c.HistOut, &c.ProfileOut, &c.FlowsOut} {
+			if *p != "" {
+				ext := filepath.Ext(*p)
+				*p = fmt.Sprintf("%s.%03d%s", strings.TrimSuffix(*p, ext), first+i, ext)
+			}
 		}
 	}
 }
@@ -112,7 +59,7 @@ func DefaultEval() EvalConfig {
 	c := DefaultConfig()
 	c.Warmup = time.Millisecond
 	c.Duration = 4 * time.Millisecond
-	return EvalConfig{Config: c}
+	return EvalConfig{Config: c, runs: new(int)}
 }
 
 // PaperEval returns the paper's full scale: a 15-ary 3-flat
@@ -128,9 +75,14 @@ func PaperEval() EvalConfig {
 func (e EvalConfig) base() Config { return e.Config }
 
 // grid runs a set of independent configurations with the evaluation's
-// configured parallelism, results in input order.
+// configured parallelism, results in input order. Each run writes the
+// base's output files under the next numbers of the evaluation.
 func (e EvalConfig) grid(cfgs []Config) ([]Result, error) {
-	e.Telemetry.Apply(cfgs)
+	if e.runs == nil { // not from DefaultEval: number this grid alone
+		e.runs = new(int)
+	}
+	NumberOutputs(cfgs, *e.runs)
+	*e.runs += len(cfgs)
 	return RunGrid(cfgs, e.Parallel)
 }
 

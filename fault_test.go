@@ -196,3 +196,49 @@ func FuzzParseSchedule(f *testing.F) {
 		}
 	})
 }
+
+// TestRandomFaultDrawsSaturate pins the random fault processes at the
+// edge of the picosecond clock: a draw past its range is an event that
+// never fires, not one that wraps around and fires a nanosecond later.
+func TestRandomFaultDrawsSaturate(t *testing.T) {
+	base := NewConfig(TopoFBFLY, WithShape(4, 2, 4), WithWorkload(WorkloadUniform),
+		WithLoad(0.1), WithWindow(50*time.Microsecond, 200*time.Microsecond))
+	groupChaos, err := ParseScenario([]byte(`{"version": 1, "name": "long-outage",
+	  "phases": [{"name": "only", "duration": "200us",
+	    "traffic": [{"workload": "uniform", "load": 0.1}],
+	    "chaos": {"groups": [{"kind": "optics-bundle", "size": 1}],
+	      "group_rate": 40, "group_mttr": "2000h"}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Config)
+		failed  bool // some link fails or degrades in the window
+		repairs bool // some of them come back in the window
+	}{
+		{"rate 1e-12/ms", func(c *Config) { c.FaultRate = 1e-12 }, false, false},
+		{"rate 1e-9/ms", func(c *Config) { c.FaultRate = 1e-9 }, false, false},
+		{"mttr 2000h", func(c *Config) { c.FaultRate, c.FaultMTTR = 40, 2000*time.Hour }, true, false},
+		{"mttr 60us", func(c *Config) { c.FaultRate, c.FaultMTTR = 40, 60*time.Microsecond }, true, true},
+		{"chaos group_mttr 2000h", func(c *Config) { c.Scenario = groupChaos }, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.mutate(&cfg)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := res.Faults
+			if failed := f.LinkFailures+f.LaneDegradations > 0; failed != tc.failed {
+				t.Errorf("failures/degradations = %d/%d, want some: %v",
+					f.LinkFailures, f.LaneDegradations, tc.failed)
+			}
+			if repairs := f.LinkRepairs+f.LaneRestores > 0; repairs != tc.repairs {
+				t.Errorf("repairs/restores = %d/%d, want some: %v",
+					f.LinkRepairs, f.LaneRestores, tc.repairs)
+			}
+		})
+	}
+}

@@ -165,8 +165,9 @@ func TestFlowTraceFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestFlowTraceValidate pins the config plumbing: -flows-out implies
-// tracing, the sample rate is bounded, and the default rate is 1/64.
+// TestFlowTraceValidate pins the config plumbing: -flows-out and a
+// positive -flow-sample imply tracing, the sample rate is bounded, and
+// the default rate is 1/64.
 func TestFlowTraceValidate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlowsOut = "flows.json"
@@ -178,6 +179,15 @@ func TestFlowTraceValidate(t *testing.T) {
 	}
 	if want := 1.0 / 64; cfg.FlowSample != want {
 		t.Errorf("default FlowSample = %v, want %v", cfg.FlowSample, want)
+	}
+	cfg = DefaultConfig()
+	cfg.FlowSample = 0.5
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.FlowTrace || cfg.FlowSample != 0.5 {
+		t.Errorf("FlowSample 0.5 alone: FlowTrace=%v FlowSample=%v, want tracing at 0.5",
+			cfg.FlowTrace, cfg.FlowSample)
 	}
 	for _, bad := range []float64{-0.1, 1.5} {
 		cfg := DefaultConfig()

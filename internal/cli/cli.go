@@ -1,8 +1,7 @@
 // Package cli is the one flag surface shared by every command that
 // builds an epnet.Config. Each binary used to own a hand-rolled copy of
 // the same two dozen flags with drifting names and defaults; now they
-// all Bind a Loader (plus an Outputs group for telemetry files) and
-// differ only in their command-specific flags.
+// all Bind a Loader and differ only in their command-specific flags.
 //
 // Resolution precedence, lowest to highest:
 //
@@ -15,7 +14,9 @@
 // Only explicitly set flags apply — a flag left at its default never
 // clobbers a preset or scenario value, and binding with a non-default
 // base (as cmd/experiments does with the evaluation scale) keeps that
-// base intact.
+// base intact. The output flags (-metrics-out, -flows-out, ...) are
+// Config fields like any other, so a scenario's config block may set
+// them too.
 package cli
 
 import (
@@ -38,12 +39,18 @@ type Loader struct {
 	Preset   string
 	Scenario string
 
-	apply map[string]func(*epnet.Config)
+	apply  map[string]func(*epnet.Config)
+	cmd    string
+	listen string
+	insp   *epnet.Inspector
 }
 
 // Bind registers the config flags on fs with defaults drawn from base.
-func (l *Loader) Bind(fs *flag.FlagSet, base epnet.Config) {
-	l.fs, l.base = fs, base
+// cmd names the command in messages. epsim, the single-run command,
+// also gets -power-trace, -attribution and -profile, whose views only
+// it prints; the grid commands number each run's output files instead.
+func (l *Loader) Bind(fs *flag.FlagSet, cmd string, base epnet.Config) {
+	l.fs, l.base, l.cmd = fs, base, cmd
 	l.apply = map[string]func(*epnet.Config){}
 
 	str := func(name, def, usage string, set func(*epnet.Config, string)) {
@@ -116,6 +123,37 @@ func (l *Loader) Bind(fs *flag.FlagSet, base epnet.Config) {
 		func(c *epnet.Config, v int) { c.Shards = v })
 	boolean("dyntopo", base.DynTopo, "enable the dynamic topology controller",
 		func(c *epnet.Config, v bool) { c.DynTopo = v })
+
+	perRun := "; each run gets a numeric suffix (telemetry.csv -> telemetry.000.csv)"
+	if cmd == "epsim" {
+		perRun = ""
+		dur("power-trace", base.PowerSampleEvery, "sample instantaneous power at this interval (0 = off)",
+			func(c *epnet.Config, v time.Duration) { c.PowerSampleEvery = v })
+		boolean("attribution", base.Attribution, "print the per-link energy attribution (top consumers)",
+			func(c *epnet.Config, v bool) { c.Attribution = v })
+		boolean("profile", base.Profile, "self-profile the engine and print the critical-path report (per-shard stalls, window efficiency, barrier overhead)",
+			func(c *epnet.Config, v bool) { c.Profile = v })
+	}
+	str("metrics-out", base.MetricsOut, "write the sampled metric time series to this file (CSV, or JSON Lines with a .jsonl extension)"+perRun,
+		func(c *epnet.Config, v string) { c.MetricsOut = v })
+	dur("sample-interval", base.SampleInterval, "metrics sampling period (default: one epoch)",
+		func(c *epnet.Config, v time.Duration) { c.SampleInterval = v })
+	str("trace-out", base.TraceOut, "write a Chrome trace_event JSON file (open in chrome://tracing or ui.perfetto.dev)"+perRun,
+		func(c *epnet.Config, v string) { c.TraceOut = v })
+	str("heatmap-out", base.HeatmapOut, "write the per-link utilization x time heatmap CSV to this file"+perRun,
+		func(c *epnet.Config, v string) { c.HeatmapOut = v })
+	str("hist-out", base.HistOut, "write the link-utilization histogram CSV (Fig 8 view) to this file"+perRun,
+		func(c *epnet.Config, v string) { c.HistOut = v })
+	str("profile-out", base.ProfileOut, "write the engine self-profile to this file (JSON, or CSV with a .csv extension)"+perRun,
+		func(c *epnet.Config, v string) { c.ProfileOut = v })
+	boolean("flow-trace", base.FlowTrace, "hash-sample packets and decompose their latency per hop (queue/credit/retune/busy/cut-through/serialize/wire/route)",
+		func(c *epnet.Config, v bool) { c.FlowTrace = v })
+	f64("flow-sample", base.FlowSample, "flow-tracing sample rate in (0,1] (default 1/64; 1 traces every packet); implies -flow-trace",
+		func(c *epnet.Config, v float64) { c.FlowSample = v })
+	str("flows-out", base.FlowsOut, "write the flow-trace report to this file (JSON, or per-phase CSV with a .csv extension); implies -flow-trace"+perRun,
+		func(c *epnet.Config, v string) { c.FlowsOut = v })
+	fs.StringVar(&l.listen, "listen", "",
+		`serve live inspection HTTP on this address (e.g. ":9090"): /metrics, /snapshot, /profile, /flows, /debug/pprof/`)
 }
 
 // Resolve builds the Config from the bound base.
@@ -144,125 +182,17 @@ func (l *Loader) ResolveFrom(base epnet.Config) (epnet.Config, error) {
 			apply(&cfg)
 		}
 	})
+	if l.listen != "" {
+		// One inspector serves every run of the command.
+		if l.insp == nil {
+			insp, addr, err := epnet.StartInspector(l.listen)
+			if err != nil {
+				return epnet.Config{}, err
+			}
+			fmt.Fprintf(os.Stderr, "%s: inspector listening on http://%s\n", l.cmd, addr)
+			l.insp = insp
+		}
+		cfg.Inspector = l.insp
+	}
 	return cfg, nil
-}
-
-// Outputs is the shared telemetry-output flag group: metric/trace/
-// heatmap/histogram/profile files, the sampling interval, and the live
-// inspection endpoint.
-type Outputs struct {
-	MetricsOut     string
-	TraceOut       string
-	HeatmapOut     string
-	HistOut        string
-	ProfileOut     string
-	FlowTrace      bool
-	FlowSample     float64
-	FlowsOut       string
-	SampleInterval time.Duration
-	Listen         string
-
-	component string
-}
-
-// BindOutputs registers the group on fs. component names the binary in
-// messages; perRun switches the help text for grid commands, whose
-// files get per-run numeric suffixes.
-func (o *Outputs) BindOutputs(fs *flag.FlagSet, component string, perRun bool) {
-	o.component = component
-	suffix := ""
-	if perRun {
-		suffix = "; each run gets a numeric suffix (telemetry.csv -> telemetry.000.csv)"
-	}
-	fs.StringVar(&o.MetricsOut, "metrics-out", "",
-		"write the sampled metric time series to this file (CSV, or JSON Lines with a .jsonl extension)"+suffix)
-	fs.StringVar(&o.TraceOut, "trace-out", "",
-		"write a Chrome trace_event JSON file (open in chrome://tracing or ui.perfetto.dev)"+suffix)
-	fs.StringVar(&o.HeatmapOut, "heatmap-out", "",
-		"write the per-link utilization x time heatmap CSV to this file"+suffix)
-	fs.StringVar(&o.HistOut, "hist-out", "",
-		"write the link-utilization histogram CSV (Fig 8 view) to this file"+suffix)
-	fs.StringVar(&o.ProfileOut, "profile-out", "",
-		"write the engine self-profile to this file (JSON, or CSV with a .csv extension)"+suffix)
-	fs.BoolVar(&o.FlowTrace, "flow-trace", false,
-		"hash-sample packets and decompose their latency per hop (queue/credit/retune/busy/cut-through/serialize/wire/route)")
-	fs.Float64Var(&o.FlowSample, "flow-sample", 0,
-		"flow-tracing sample rate in (0,1] (default 1/64; 1 traces every packet)")
-	fs.StringVar(&o.FlowsOut, "flows-out", "",
-		"write the flow-trace report to this file (JSON, or per-phase CSV with a .csv extension); implies -flow-trace"+suffix)
-	fs.DurationVar(&o.SampleInterval, "sample-interval", 0,
-		"metrics sampling period (default: one epoch)")
-	fs.StringVar(&o.Listen, "listen", "",
-		`serve live inspection HTTP on this address (e.g. ":9090"): /metrics, /snapshot, /profile, /flows, /debug/pprof/`)
-}
-
-// inspector starts the live endpoint when -listen is set, announcing it
-// on stderr like every command always has.
-func (o *Outputs) inspector() (*epnet.Inspector, error) {
-	if o.Listen == "" {
-		return nil, nil
-	}
-	insp, addr, err := epnet.StartInspector(o.Listen)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "%s: inspector listening on http://%s\n", o.component, addr)
-	return insp, nil
-}
-
-// Stamp applies the group to one Config — the single-run (epsim) path.
-func (o *Outputs) Stamp(cfg *epnet.Config) error {
-	cfg.MetricsOut = o.MetricsOut
-	cfg.TraceOut = o.TraceOut
-	cfg.HeatmapOut = o.HeatmapOut
-	cfg.HistOut = o.HistOut
-	cfg.ProfileOut = o.ProfileOut
-	if o.FlowTrace {
-		cfg.FlowTrace = true
-	}
-	if o.FlowSample > 0 {
-		cfg.FlowSample = o.FlowSample
-	}
-	if o.FlowsOut != "" {
-		cfg.FlowsOut = o.FlowsOut
-	}
-	cfg.SampleInterval = o.SampleInterval
-	if o.TraceOut != "" && cfg.Shards == 0 {
-		// Auto-sharding (Shards == 0) resolves to the serial engine when
-		// packet tracing is on — say so instead of silently running
-		// serial. An explicit -shards > 1 with -trace-out is rejected by
-		// Validate with a ConfigFieldError.
-		fmt.Fprintf(os.Stderr, "%s: -trace-out needs the serial engine; running with shards=1\n",
-			o.component)
-	}
-	insp, err := o.inspector()
-	if err != nil {
-		return err
-	}
-	if insp != nil {
-		cfg.Inspector = insp
-	}
-	return nil
-}
-
-// Telemetry converts the group to per-run telemetry options — the grid
-// (sweep, experiments) path.
-func (o *Outputs) Telemetry() (*epnet.TelemetryOpts, error) {
-	t := &epnet.TelemetryOpts{
-		MetricsOut:     o.MetricsOut,
-		TraceOut:       o.TraceOut,
-		HeatmapOut:     o.HeatmapOut,
-		HistOut:        o.HistOut,
-		ProfileOut:     o.ProfileOut,
-		FlowsOut:       o.FlowsOut,
-		FlowTrace:      o.FlowTrace,
-		FlowSample:     o.FlowSample,
-		SampleInterval: o.SampleInterval,
-	}
-	insp, err := o.inspector()
-	if err != nil {
-		return nil, err
-	}
-	t.Inspector = insp
-	return t, nil
 }

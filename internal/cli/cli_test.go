@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ func resolve(t *testing.T, base epnet.Config, args ...string) epnet.Config {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var l Loader
-	l.Bind(fs, base)
+	l.Bind(fs, "epsim", base)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +92,35 @@ func TestLoaderPrecedence(t *testing.T) {
 		t.Errorf("explicit -seed clobbered the scenario's k: %d", got.K)
 	}
 
+	// Output fields resolve like every other field: a scenario's config
+	// block sets them, unset output flags leave them alone, and an
+	// explicit output flag still wins.
+	doc = `{"version": 1, "config": {"metrics_out": "m.csv",
+	    "sample_interval": "50us", "profile_out": "p.json"},
+	  "phases": [{"name": "only", "duration": "100us",
+	    "traffic": [{"workload": "uniform"}]}]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got = resolve(t, base, "-scenario", path)
+	if got.MetricsOut != "m.csv" || got.SampleInterval != 50*time.Microsecond ||
+		got.ProfileOut != "p.json" {
+		t.Errorf("scenario outputs dropped: metrics_out=%q sample_interval=%v profile_out=%q",
+			got.MetricsOut, got.SampleInterval, got.ProfileOut)
+	}
+	got = resolve(t, base, "-scenario", path, "-metrics-out", "flag.csv")
+	if got.MetricsOut != "flag.csv" {
+		t.Errorf("explicit -metrics-out lost to the scenario: %q", got.MetricsOut)
+	}
+	if got.ProfileOut != "p.json" || got.SampleInterval != 50*time.Microsecond {
+		t.Errorf("explicit -metrics-out clobbered other scenario outputs: profile_out=%q sample_interval=%v",
+			got.ProfileOut, got.SampleInterval)
+	}
+
 	// Unknown references and bad scenario files are loader errors.
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var l Loader
-	l.Bind(fs, base)
+	l.Bind(fs, "epsim", base)
 	if err := fs.Parse([]string{"-preset", "nope"}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +134,7 @@ func TestLoaderPrecedence(t *testing.T) {
 func TestResolveFrom(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var l Loader
-	l.Bind(fs, epnet.DefaultConfig())
+	l.Bind(fs, "epsim", epnet.DefaultConfig())
 	if err := fs.Parse([]string{"-warmup", "77us"}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +148,55 @@ func TestResolveFrom(t *testing.T) {
 	}
 	if got.Warmup != 77*time.Microsecond {
 		t.Errorf("explicit flag not applied over the alternative base: %v", got.Warmup)
+	}
+}
+
+// TestBindCommandFlags pins which command gets which flags: every
+// command binds the output flags, and only epsim binds -power-trace,
+// -attribution and -profile, whose views only it prints. They resolve
+// like every other field.
+func TestBindCommandFlags(t *testing.T) {
+	for _, cmd := range []string{"experiments", "sweep"} {
+		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+		var l Loader
+		l.Bind(fs, cmd, epnet.DefaultConfig())
+		for _, name := range []string{"metrics-out", "sample-interval", "flows-out", "listen"} {
+			if fs.Lookup(name) == nil {
+				t.Errorf("%s does not bind -%s", cmd, name)
+			}
+		}
+		for _, name := range []string{"power-trace", "attribution", "profile"} {
+			if fs.Lookup(name) != nil {
+				t.Errorf("%s binds the epsim-only -%s", cmd, name)
+			}
+		}
+	}
+	got := resolve(t, epnet.DefaultConfig(), "-attribution", "-profile", "-power-trace", "20us")
+	if !got.Attribution || !got.Profile || got.PowerSampleEvery != 20*time.Microsecond {
+		t.Errorf("epsim flags not applied: attribution=%v profile=%v power-trace=%v",
+			got.Attribution, got.Profile, got.PowerSampleEvery)
+	}
+}
+
+// TestListenStartsOneInspector: a command that resolves once per run
+// (sweep) still starts a single inspector, shared by every run.
+func TestListenStartsOneInspector(t *testing.T) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	var l Loader
+	l.Bind(fs, "sweep", epnet.DefaultConfig())
+	if err := fs.Parse([]string{"-listen", "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := l.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Inspector.Shutdown(context.Background())
+	b, err := l.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Inspector == nil || a.Inspector != b.Inspector {
+		t.Errorf("two resolves got inspectors %p and %p, want one shared", a.Inspector, b.Inspector)
 	}
 }

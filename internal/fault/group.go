@@ -137,31 +137,22 @@ func (inj *Injector) StartCorrelated(start, horizon sim.Time, groups []Group, pe
 		return
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0xC0FA17))
-	exp := func(mean float64) sim.Time {
-		d := sim.Time(rng.ExpFloat64() * mean)
-		if d < sim.Nanosecond {
-			d = sim.Nanosecond
-		}
-		return d
-	}
 	interArrival := float64(sim.Millisecond) / perMs
 
 	var tick sim.Event
 	scheduleNext := func(from sim.Time) {
-		next := from + exp(interArrival)
-		if next >= horizon {
-			return
+		if next, ok := expAfter(rng, from, interArrival); ok && next < horizon {
+			inj.Net.E.At(next, tick)
 		}
-		inj.Net.E.At(next, tick)
 	}
 	tick = func(now sim.Time) {
 		g := groups[rng.Intn(len(groups))]
 		// Draw the outage length unconditionally so the random stream
 		// stays aligned even when the strike is a no-op (group already
 		// down).
-		outage := exp(float64(mttr))
-		if inj.FailGroup(now, g) > 0 {
-			inj.Net.E.At(now+outage, func(at sim.Time) {
+		repairAt, ok := expAfter(rng, now, float64(mttr))
+		if inj.FailGroup(now, g) > 0 && ok {
+			inj.Net.E.At(repairAt, func(at sim.Time) {
 				inj.RepairGroup(at, g)
 			})
 		}

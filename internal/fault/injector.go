@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -389,23 +390,14 @@ func (inj *Injector) StartRandom(start, horizon sim.Time, perMs float64, mttr si
 		return
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0xFA017))
-	exp := func(mean float64) sim.Time {
-		d := sim.Time(rng.ExpFloat64() * mean)
-		if d < sim.Nanosecond {
-			d = sim.Nanosecond
-		}
-		return d
-	}
 	interArrival := float64(sim.Millisecond) / perMs
 	ladder := inj.Net.Cfg.Ladder
 
 	var tick sim.Event
 	scheduleNext := func(from sim.Time) {
-		next := from + exp(interArrival)
-		if next >= horizon {
-			return
+		if next, ok := expAfter(rng, from, interArrival); ok && next < horizon {
+			inj.Net.E.At(next, tick)
 		}
-		inj.Net.E.At(next, tick)
 	}
 	tick = func(now sim.Time) {
 		// A bounded retry keeps target selection cheap and deterministic
@@ -426,22 +418,41 @@ func (inj *Injector) StartRandom(start, horizon sim.Time, perMs float64, mttr si
 				// Lane degradation: pin somewhere below the maximum.
 				cap := ladder[rng.Intn(len(ladder)-1)]
 				inj.DegradeLink(now, sw, port, cap)
-				restoreAt := now + exp(2*float64(mttr))
-				inj.Net.E.At(restoreAt, func(at sim.Time) {
-					inj.RestoreLink(at, sw, port)
-				})
+				if restoreAt, ok := expAfter(rng, now, 2*float64(mttr)); ok {
+					inj.Net.E.At(restoreAt, func(at sim.Time) {
+						inj.RestoreLink(at, sw, port)
+					})
+				}
 			} else {
 				inj.FailLink(now, sw, port)
-				repairAt := now + exp(float64(mttr))
-				inj.Net.E.At(repairAt, func(at sim.Time) {
-					inj.RepairLink(at, sw, port)
-				})
+				if repairAt, ok := expAfter(rng, now, float64(mttr)); ok {
+					inj.Net.E.At(repairAt, func(at sim.Time) {
+						inj.RepairLink(at, sw, port)
+					})
+				}
 			}
 			break
 		}
 		scheduleNext(now)
 	}
 	scheduleNext(start)
+}
+
+// expAfter returns now plus one exponentially distributed draw from rng
+// with the given mean, floored at 1 ns. It reports false when the draw
+// or the sum passes the end of the clock: that instant lies past every
+// run's horizon, so the event must never fire, where an unchecked
+// conversion would wrap it around to an instant almost at once.
+func expAfter(rng *rand.Rand, now sim.Time, mean float64) (sim.Time, bool) {
+	d := rng.ExpFloat64() * mean
+	if !(d < math.MaxInt64) { // also catches NaN and +Inf
+		return 0, false
+	}
+	t := max(sim.Time(d), sim.Nanosecond)
+	if t > math.MaxInt64-now {
+		return 0, false
+	}
+	return now + t, true
 }
 
 // RegisterMetrics exposes the injector's counters to a telemetry

@@ -201,11 +201,16 @@ func TestRunWritesChromeTrace(t *testing.T) {
 	}
 }
 
-func TestTelemetryOptsApply(t *testing.T) {
-	opts := &TelemetryOpts{MetricsOut: "m.csv", TraceOut: "t.json", ProfileOut: "p.json"}
+// TestNumberOutputs pins the per-run file numbering of the grid
+// commands: every non-empty output path gets the run's number, the
+// sequence continues across grids, and empty paths stay empty.
+func TestNumberOutputs(t *testing.T) {
 	cfgs := make([]Config, 3)
-	opts.Apply(cfgs[:2])
-	opts.Apply(cfgs[2:]) // sequence continues across grids
+	for i := range cfgs {
+		cfgs[i].MetricsOut, cfgs[i].TraceOut, cfgs[i].ProfileOut = "m.csv", "t.json", "p.json"
+	}
+	NumberOutputs(cfgs[:2], 0)
+	NumberOutputs(cfgs[2:], 2) // sequence continues across grids
 	want := []string{"m.000.csv", "m.001.csv", "m.002.csv"}
 	for i, cfg := range cfgs {
 		if cfg.MetricsOut != want[i] {
@@ -217,14 +222,34 @@ func TestTelemetryOptsApply(t *testing.T) {
 		if wantProf := "p.00" + strconv.Itoa(i) + ".json"; cfg.ProfileOut != wantProf {
 			t.Errorf("cfg %d ProfileOut = %q, want %q", i, cfg.ProfileOut, wantProf)
 		}
+		if cfg.HeatmapOut != "" || cfg.HistOut != "" || cfg.FlowsOut != "" {
+			t.Errorf("cfg %d: empty output paths numbered: %+v", i, cfg)
+		}
 	}
-	// Disabled opts leave configurations untouched.
-	var off *TelemetryOpts
-	plain := make([]Config, 1)
-	off.Apply(plain)
-	(&TelemetryOpts{}).Apply(plain)
-	if plain[0].MetricsOut != "" || plain[0].TraceOut != "" || plain[0].ProfileOut != "" {
-		t.Errorf("disabled telemetry stamped paths: %+v", plain[0])
+}
+
+// TestEvalNumbersRunsAcrossExperiments: copies of one evaluation share
+// its run sequence, so a second experiment's files follow the first's
+// instead of overwriting them.
+func TestEvalNumbersRunsAcrossExperiments(t *testing.T) {
+	dir := t.TempDir()
+	e := DefaultEval()
+	e.K, e.C = 4, 4
+	e.Warmup, e.Duration = 20*time.Microsecond, 100*time.Microsecond
+	e.MetricsOut = filepath.Join(dir, "m.csv")
+	for range 2 {
+		if _, err := Figure7(e); err != nil { // two runs each
+			t.Fatal(err)
+		}
+	}
+	if e.MetricsOut != filepath.Join(dir, "m.csv") {
+		t.Errorf("the evaluation base was numbered: %q", e.MetricsOut)
+	}
+	for i := range 4 {
+		path := filepath.Join(dir, "m.00"+strconv.Itoa(i)+".csv")
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("run %d: want a non-empty %s: %v", i, filepath.Base(path), err)
+		}
 	}
 }
 
@@ -238,13 +263,11 @@ func TestGridTelemetryDeterministic(t *testing.T) {
 		for _, policy := range []PolicyKind{PolicyHalveDouble, PolicyMinMax} {
 			cfg := observeConfig()
 			cfg.Policy = policy
+			cfg.MetricsOut = filepath.Join(dir, base+".csv")
+			cfg.SampleInterval = 100 * time.Microsecond
 			cfgs = append(cfgs, cfg)
 		}
-		opts := &TelemetryOpts{
-			MetricsOut:     filepath.Join(dir, base+".csv"),
-			SampleInterval: 100 * time.Microsecond,
-		}
-		opts.Apply(cfgs)
+		NumberOutputs(cfgs, 0)
 		return cfgs
 	}
 	serial := mkCfgs("serial")

@@ -144,78 +144,6 @@ func WithFaultRate(rate float64, mttr time.Duration) Option {
 	return func(cfg *Config) { cfg.FaultRate, cfg.FaultMTTR = rate, mttr }
 }
 
-// WithMetrics writes the sampled telemetry series to path, sampling
-// every interval (zero means one epoch).
-func WithMetrics(path string, interval time.Duration) Option {
-	return func(cfg *Config) { cfg.MetricsOut, cfg.SampleInterval = path, interval }
-}
-
-// WithChromeTrace streams a Chrome trace_event file to path.
-func WithChromeTrace(path string) Option {
-	return func(cfg *Config) { cfg.TraceOut = path }
-}
-
-// WithHeatmap writes the per-link utilization x time heatmap CSV to
-// path at the end of the run.
-func WithHeatmap(path string) Option {
-	return func(cfg *Config) { cfg.HeatmapOut = path }
-}
-
-// WithUtilHistogram writes the link-utilization histogram CSV (the
-// paper's Fig 8 view) to path at the end of the run.
-func WithUtilHistogram(path string) Option {
-	return func(cfg *Config) { cfg.HistOut = path }
-}
-
-// WithAttribution populates Result.Attribution with the per-channel
-// energy/utilization breakdown.
-func WithAttribution() Option {
-	return func(cfg *Config) { cfg.Attribution = true }
-}
-
-// WithInspector publishes live Prometheus scrapes and per-entity JSON
-// snapshots to insp at every sample tick (see StartInspector).
-func WithInspector(insp *Inspector) Option {
-	return func(cfg *Config) { cfg.Inspector = insp }
-}
-
-// WithProfile enables engine self-profiling: Result.Profile reports
-// per-shard busy/wait/idle wall time, window efficiency, the
-// cross-shard exchange matrix, and the critical-path laggard table.
-func WithProfile() Option {
-	return func(cfg *Config) { cfg.Profile = true }
-}
-
-// WithProfileOut enables engine self-profiling and writes the profile
-// to path (JSON, or CSV when the path ends in ".csv").
-func WithProfileOut(path string) Option {
-	return func(cfg *Config) { cfg.ProfileOut = path }
-}
-
-// WithFlowTrace enables flow tracing: hash-sampled packets carry
-// per-hop latency decompositions into Result.FlowTrace.
-func WithFlowTrace() Option {
-	return func(cfg *Config) { cfg.FlowTrace = true }
-}
-
-// WithFlowSample enables flow tracing at the given sample rate in
-// (0,1] — the expected fraction of packets traced.
-func WithFlowSample(rate float64) Option {
-	return func(cfg *Config) { cfg.FlowTrace = true; cfg.FlowSample = rate }
-}
-
-// WithFlowsOut enables flow tracing and writes the report to path
-// (JSON, or a per-phase CSV when the path ends in ".csv").
-func WithFlowsOut(path string) Option {
-	return func(cfg *Config) { cfg.FlowsOut = path }
-}
-
-// WithPowerTrace samples instantaneous power into Result.PowerTrace at
-// the given interval.
-func WithPowerTrace(interval time.Duration) Option {
-	return func(cfg *Config) { cfg.PowerSampleEvery = interval }
-}
-
 // presets are the named paper-system configurations, lazily built so a
 // preset always reflects the current library defaults.
 var presets = map[string]struct {
