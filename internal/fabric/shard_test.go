@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -24,6 +27,7 @@ type shardFingerprint struct {
 	hostPkts       []int64    // per destination host
 	chanBytes      []int64    // per channel, in wiring order
 	chanDrops      []int64
+	deliveries     [][]int64 // per destination host: packet ID, time, ...
 }
 
 // runSharded drives one FBFLY run at the given shard count and returns
@@ -32,16 +36,25 @@ type shardFingerprint struct {
 // notice).
 func runSharded(t *testing.T, shards int, faults bool, prof *telemetry.EngineProfiler) shardFingerprint {
 	t.Helper()
-	e := sim.New()
-	f := topo.MustFBFLY(8, 2, 8)
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 	cfg.Shards = shards
+	fp, _ := runFabric(t, cfg, faults, prof)
+	return fp
+}
+
+// runFabric is runSharded with the whole fabric configuration given:
+// the same 8-ary 2-flat, workload and fault schedule. It also returns
+// the drained network, which the test's cleanup closes.
+func runFabric(t *testing.T, cfg Config, faults bool, prof *telemetry.EngineProfiler) (shardFingerprint, *Network) {
+	t.Helper()
+	e := sim.New()
+	f := topo.MustFBFLY(8, 2, 8)
 	n, err := New(e, f, routing.NewFBFLY(f), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
+	t.Cleanup(n.Close)
 	if prof != nil {
 		n.SetProfiler(prof)
 	}
@@ -50,12 +63,14 @@ func runSharded(t *testing.T, shards int, faults bool, prof *telemetry.EnginePro
 	fp := shardFingerprint{
 		lastDeliver: make([]sim.Time, numHosts),
 		hostPkts:    make([]int64, numHosts),
+		deliveries:  make([][]int64, numHosts),
 	}
 	// Each host is delivered to on exactly one shard, so per-dst slots
 	// are single-writer even when shards run concurrently.
 	n.OnDeliver = func(p *Packet, now sim.Time) {
 		fp.lastDeliver[p.Dst] = now
 		fp.hostPkts[p.Dst]++
+		fp.deliveries[p.Dst] = append(fp.deliveries[p.Dst], p.ID, int64(now))
 	}
 
 	rng := rand.New(rand.NewSource(9))
@@ -98,9 +113,24 @@ func runSharded(t *testing.T, shards int, faults bool, prof *telemetry.EnginePro
 	}
 	if fp.deliveredPkts+fp.droppedPkts != fp.injectedPkts {
 		t.Fatalf("shards=%d: %d delivered + %d dropped != %d injected",
-			shards, fp.deliveredPkts, fp.droppedPkts, fp.injectedPkts)
+			cfg.Shards, fp.deliveredPkts, fp.droppedPkts, fp.injectedPkts)
 	}
-	return fp
+	return fp, n
+}
+
+// digest is a SHA-256 over every delivery as (packet ID, delivery time),
+// host by host in delivery order: a fingerprint of every packet's
+// timing that does not depend on how shards interleave.
+func (fp shardFingerprint) digest() string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, log := range fp.deliveries {
+		for _, v := range log {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func diffFingerprints(t *testing.T, tag string, want, got shardFingerprint) {
