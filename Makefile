@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
+.PHONY: all build test race vet golden-harness fuzz-smoke bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
 
 all: build test
 
@@ -19,6 +19,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The default experiment harness must reproduce its reference capture
+# byte for byte: stdout only, since the timing lines go to stderr.
+# About 10 s on 2 CPUs.
+golden-harness:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+		$(GO) run ./cmd/experiments > "$$out" && \
+		cmp "$$out" results/experiments_default.txt
 
 # A few seconds of coverage-guided fuzzing per parser and per identity
 # contract: the fault-schedule parser, Config's JSON codec, the scenario
