@@ -245,7 +245,6 @@ func (s *Switch) pumpOut(port int, now sim.Time) {
 			if tr != nil {
 				tr.Block(telemetry.FlowCredit)
 			}
-			ch.waiting = true
 			return
 		}
 		q.pop()
@@ -341,7 +340,6 @@ func (h *Host) pump(now sim.Time) {
 			if tr != nil {
 				tr.Block(telemetry.FlowCredit)
 			}
-			h.out.waiting = true
 			return
 		}
 		h.q.pop()
