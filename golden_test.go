@@ -2,6 +2,8 @@ package epnet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +13,9 @@ import (
 )
 
 // The goldens in this file pin outputs that no other test compares
-// byte for byte: the sampled power trace and the two checked-in
-// observability examples. Regenerate them intentionally with
+// byte for byte: the sampled power trace, the occupancy-derived power
+// results and the two checked-in observability examples. Regenerate
+// them intentionally with
 // EPNET_UPDATE_GOLDEN=1 go test -run Golden .
 
 // checkGolden compares got against the golden file at path, or rewrites
@@ -60,6 +63,63 @@ func TestPowerTraceGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%d,%s,%s,%s\n", s.At.Nanoseconds(), g(s.Measured), g(s.Ideal), g(s.Util))
 	}
 	checkGolden(t, filepath.Join("results", "power_trace.csv"), b.Bytes())
+}
+
+// TestPowerResultGolden pins every Result field derived from channel
+// time at rate, one JSON line per cell. encoding/json renders floats at
+// full precision, so a change in the order a power or share is summed
+// shows here, where the harness's 0.1% tables would hide it. The cells
+// cover both link classes (a 3-flat), independent control, powered-off
+// time (dynamic topology) and capped rungs plus a failed link (faults).
+func TestPowerResultGolden(t *testing.T) {
+	cell := func(mod func(*Config)) Config {
+		cfg := fastCfg()
+		cfg.Shards = 1
+		cfg.Attribution = true
+		mod(&cfg)
+		return cfg
+	}
+	cells := []struct {
+		name string
+		cfg  Config
+	}{
+		{"search-paired-3flat", cell(func(c *Config) { c.Workload, c.N = WorkloadSearch, 3 })},
+		{"uniform-independent", cell(func(c *Config) { c.Workload, c.Independent = WorkloadUniform, true })},
+		{"advert-dyntopo", cell(func(c *Config) { c.Workload, c.DynTopo = WorkloadAdvert, true })},
+		{"uniform-faults", cell(func(c *Config) {
+			c.Workload = WorkloadUniform
+			c.Faults = "100us degrade-link s0p4 10; 200us fail-link s1p5; 400us repair-link s1p5"
+		})},
+	}
+	var b bytes.Buffer
+	for _, c := range cells {
+		res, err := Run(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		attr, err := json.Marshal(res.Attribution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(struct {
+			Cell             string             `json:"cell"`
+			RelPowerMeasured float64            `json:"rel_power_measured"`
+			RelPowerIdeal    float64            `json:"rel_power_ideal"`
+			EnergyJoules     float64            `json:"energy_j"`
+			OffShare         float64            `json:"off_share"`
+			RateShare        RateShareMap       `json:"rate_share"`
+			ClassPower       map[string]float64 `json:"class_power"`
+			Attribution      string             `json:"attribution_sha256"`
+		}{c.name, res.RelPowerMeasured, res.RelPowerIdeal, res.EnergyJoules,
+			res.OffShare, res.RateShare, res.ClassPower,
+			fmt.Sprintf("%x", sha256.Sum256(attr))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	checkGolden(t, filepath.Join("results", "power_result.jsonl"), b.Bytes())
 }
 
 // TestTelemetryExampleGoldens reproduces the checked-in sampled-series
