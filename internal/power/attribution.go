@@ -1,8 +1,6 @@
 package power
 
 import (
-	"sort"
-
 	"epnet/internal/link"
 	"epnet/internal/sim"
 )
@@ -24,10 +22,9 @@ type ChannelEnergy struct {
 	// EnergyJ is RelPower x the per-channel full-power share x the
 	// window, in joules.
 	EnergyJ float64
-	// TimeAtRate is the time the channel spent at each rate.
-	TimeAtRate map[link.Rate]sim.Time
-	// OffTime is the time the channel spent powered off.
-	OffTime sim.Time
+	// Occupancy is where the channel spent the window: at each rate
+	// and powered off.
+	Occupancy link.Occupancy
 }
 
 // Attribution splits a run's total network energy across its channels.
@@ -45,8 +42,6 @@ type Attribution struct {
 	Window sim.Time
 	// Profile is the measurement profile energy is charged under.
 	Profile Profile
-	// Channels holds one entry per channel, in wiring order.
-	Channels []ChannelEnergy
 }
 
 // NewAttribution returns an attribution of fullWatts across nch
@@ -56,49 +51,19 @@ func NewAttribution(fullWatts float64, nch int, window sim.Time, profile Profile
 	if nch > 0 {
 		a.WattsPerChannel = fullWatts / float64(nch)
 	}
-	a.Channels = make([]ChannelEnergy, 0, nch)
 	return a
 }
 
 // Add charges one channel's occupancy against the attribution and
-// appends its entry.
+// returns its entry.
 func (a *Attribution) Add(name, class string, occ link.Occupancy, util float64) ChannelEnergy {
 	rel := OccupancyPower(occ, a.Profile)
-	ce := ChannelEnergy{
+	return ChannelEnergy{
 		Name:        name,
 		Class:       class,
 		Utilization: util,
 		RelPower:    rel,
 		EnergyJ:     rel * a.WattsPerChannel * a.Window.Seconds(),
-		TimeAtRate:  occ.AtRate,
-		OffTime:     occ.Off,
+		Occupancy:   occ,
 	}
-	a.Channels = append(a.Channels, ce)
-	return ce
-}
-
-// TotalEnergyJ sums the attributed energy over all channels.
-func (a *Attribution) TotalEnergyJ() float64 {
-	var total float64
-	for _, ce := range a.Channels {
-		total += ce.EnergyJ
-	}
-	return total
-}
-
-// TopByEnergy returns up to n channel entries sorted by descending
-// energy (ties broken by name for determinism).
-func (a *Attribution) TopByEnergy(n int) []ChannelEnergy {
-	out := make([]ChannelEnergy, len(a.Channels))
-	copy(out, a.Channels)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].EnergyJ != out[j].EnergyJ {
-			return out[i].EnergyJ > out[j].EnergyJ
-		}
-		return out[i].Name < out[j].Name
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }

@@ -98,12 +98,11 @@ func TestAlwaysOn(t *testing.T) {
 }
 
 func TestOccupancyPower(t *testing.T) {
+	us := sim.Microsecond
 	occ := link.Occupancy{
-		AtRate: map[link.Rate]sim.Time{
-			link.Rate40G:  25 * sim.Microsecond,
-			link.Rate2_5G: 75 * sim.Microsecond,
-		},
-		Total: 100 * sim.Microsecond,
+		Ladder: link.DefaultLadder(),
+		AtRate: []sim.Time{75 * us, 0, 0, 0, 25 * us},
+		Total:  100 * us,
 	}
 	m := InfiniBandOptical()
 	got := OccupancyPower(occ, m)
@@ -119,6 +118,10 @@ func TestOccupancyPower(t *testing.T) {
 	}
 	if OccupancyPower(link.Occupancy{}, m) != 0 {
 		t.Error("empty occupancy should be 0")
+	}
+	var sink float64
+	if a := testing.AllocsPerRun(100, func() { sink += OccupancyPower(occ, m) }); a != 0 {
+		t.Errorf("OccupancyPower allocates %v, want 0", a)
 	}
 }
 
@@ -268,9 +271,9 @@ func TestProfileOrderingProperty(t *testing.T) {
 	measured := InfiniBandOptical()
 	ideal := NewIdeal(link.Rate40G)
 	f := func(splits [5]uint16) bool {
-		occ := link.Occupancy{AtRate: map[link.Rate]sim.Time{}}
+		occ := link.Occupancy{Ladder: ladder, AtRate: make([]sim.Time, len(ladder))}
 		for i, s := range splits {
-			occ.AtRate[ladder[i]] = sim.Time(s) * sim.Nanosecond
+			occ.AtRate[i] = sim.Time(s) * sim.Nanosecond
 			occ.Total += sim.Time(s) * sim.Nanosecond
 		}
 		pm := OccupancyPower(occ, measured)

@@ -1,7 +1,6 @@
 // Package stats provides the measurement primitives used by the
 // simulator: streaming latency statistics with log-scale histograms for
-// percentile estimation, aggregated time-at-rate occupancies, and small
-// helpers for report tables.
+// percentile estimation, and small helpers for report tables.
 package stats
 
 import (
@@ -10,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"epnet/internal/link"
 	"epnet/internal/sim"
 )
 
@@ -170,54 +168,6 @@ func (l *Latency) Merge(other *Latency) {
 	for k, v := range other.buckets {
 		l.buckets[k] += v
 	}
-}
-
-// RateShare aggregates time-at-rate occupancies across many channels:
-// the data behind the paper's Figure 7.
-type RateShare struct {
-	At    map[link.Rate]sim.Time
-	Off   sim.Time
-	Total sim.Time
-}
-
-// NewRateShare returns an empty aggregate.
-func NewRateShare() *RateShare {
-	return &RateShare{At: make(map[link.Rate]sim.Time)}
-}
-
-// Add folds one channel occupancy into the aggregate.
-func (s *RateShare) Add(o link.Occupancy) {
-	for r, t := range o.AtRate {
-		s.At[r] += t
-	}
-	s.Off += o.Off
-	s.Total += o.Total
-}
-
-// Fraction returns the share of aggregate channel-time at rate r.
-func (s *RateShare) Fraction(r link.Rate) float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.At[r]) / float64(s.Total)
-}
-
-// OffFraction returns the share of aggregate channel-time powered off.
-func (s *RateShare) OffFraction() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Off) / float64(s.Total)
-}
-
-// Rates returns the rates present, ascending.
-func (s *RateShare) Rates() []link.Rate {
-	out := make([]link.Rate, 0, len(s.At))
-	for r := range s.At {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Table is a minimal fixed-width text table for experiment reports.

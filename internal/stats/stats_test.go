@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"epnet/internal/link"
 	"epnet/internal/sim"
 )
 
@@ -166,39 +165,6 @@ func TestLatencyInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRateShare(t *testing.T) {
-	s := NewRateShare()
-	s.Add(link.Occupancy{
-		AtRate: map[link.Rate]sim.Time{link.Rate40G: 10, link.Rate2_5G: 30},
-		Total:  40,
-	})
-	s.Add(link.Occupancy{
-		AtRate: map[link.Rate]sim.Time{link.Rate2_5G: 50},
-		Off:    10,
-		Total:  60,
-	})
-	if s.Total != 100 {
-		t.Fatalf("Total = %v", s.Total)
-	}
-	if got := s.Fraction(link.Rate2_5G); got != 0.8 {
-		t.Errorf("Fraction(2.5G) = %v, want 0.8", got)
-	}
-	if got := s.Fraction(link.Rate40G); got != 0.1 {
-		t.Errorf("Fraction(40G) = %v, want 0.1", got)
-	}
-	if got := s.OffFraction(); got != 0.1 {
-		t.Errorf("OffFraction = %v, want 0.1", got)
-	}
-	rates := s.Rates()
-	if len(rates) != 2 || rates[0] != link.Rate2_5G || rates[1] != link.Rate40G {
-		t.Errorf("Rates = %v", rates)
-	}
-	empty := NewRateShare()
-	if empty.Fraction(link.Rate40G) != 0 || empty.OffFraction() != 0 {
-		t.Error("empty share fractions not 0")
 	}
 }
 

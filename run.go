@@ -486,6 +486,18 @@ func (r *run) collect(err error) (Result, error) {
 	return res, nil
 }
 
+// rateMap maps the rate in Gb/s of each rung o spent time at to f of
+// that time.
+func rateMap(o link.Occupancy, f func(sim.Time) float64) RateShareMap {
+	m := make(RateShareMap)
+	for i, t := range o.AtRate {
+		if t != 0 {
+			m[o.Ladder[i].GbpsF()] = f(t)
+		}
+	}
+	return m
+}
+
 // result folds the finished run into its Result.
 func (r *run) result() Result {
 	cfg, net, t := r.cfg, r.net, r.t
@@ -506,7 +518,7 @@ func (r *run) result() Result {
 	res.MsgP99Latency = toDuration(msgLat.Percentile(99))
 	res.Messages = msgLat.Count()
 
-	share := stats.NewRateShare()
+	var share link.Occupancy
 	measured := power.InfiniBandOptical()
 	copper := power.InfiniBandCopper()
 	ideal := power.NewIdeal(r.ladder().Max())
@@ -533,8 +545,7 @@ func (r *run) result() Result {
 	}
 
 	var pm, pi, util float64
-	classAcc := map[string]float64{}
-	classCnt := map[string]float64{}
+	var classAcc, classCnt [topo.Optical + 1]float64
 	now := r.e.Now()
 	for ci, ch := range net.Channels() {
 		occ := ch.L.Occupancy(now)
@@ -554,8 +565,8 @@ func (r *run) result() Result {
 		if class == topo.Electrical {
 			prof = copper
 		}
-		classAcc[class.String()] += power.OccupancyPower(occ, prof)
-		classCnt[class.String()]++
+		classAcc[class] += power.OccupancyPower(occ, prof)
+		classCnt[class]++
 
 		if attr == nil {
 			continue
@@ -574,14 +585,11 @@ func (r *run) result() Result {
 			Utilization:  ce.Utilization,
 			RelPower:     ce.RelPower,
 			EnergyJoules: ce.EnergyJ,
-			TimeAtRate:   make(RateShareMap, len(ce.TimeAtRate)),
-			OffSeconds:   ce.OffTime.Seconds(),
+			TimeAtRate:   rateMap(ce.Occupancy, sim.Time.Seconds),
+			OffSeconds:   ce.Occupancy.Off.Seconds(),
 			Bytes:        ch.L.TotalBytes(),
 			Packets:      ch.L.TotalPackets(),
 			Drops:        ch.Drops(),
-		}
-		for rate, tt := range ce.TimeAtRate {
-			la.TimeAtRate[rate.GbpsF()] = tt.Seconds()
 		}
 		res.Attribution = append(res.Attribution, la)
 	}
@@ -589,9 +597,11 @@ func (r *run) result() Result {
 	res.RelPowerMeasured = pm / nch
 	res.RelPowerIdeal = pi / nch
 	res.AvgUtil = util / nch
-	res.ClassPower = make(map[string]float64, len(classAcc))
+	res.ClassPower = make(map[string]float64)
 	for class, acc := range classAcc {
-		res.ClassPower[class] = acc / classCnt[class]
+		if classCnt[class] > 0 {
+			res.ClassPower[topo.LinkClass(class).String()] = acc / classCnt[class]
+		}
 	}
 
 	// Directional asymmetry across link pairs (byte-weighted).
@@ -624,10 +634,7 @@ func (r *run) result() Result {
 			Count: b.Count,
 		})
 	}
-	res.RateShare = make(map[float64]float64)
-	for _, rate := range share.Rates() {
-		res.RateShare[rate.GbpsF()] = share.Fraction(rate)
-	}
+	res.RateShare = rateMap(share, func(t sim.Time) float64 { return float64(t) / float64(share.Total) })
 	res.OffShare = share.OffFraction()
 	if r.ctrl != nil {
 		res.Reconfigurations = r.ctrl.Reconfigurations
