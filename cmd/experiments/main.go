@@ -6,9 +6,8 @@
 // Usage:
 //
 //	experiments                 # run everything at the default scale
-//	experiments -only fig8      # one experiment: table1, fig1, fig5,
-//	                            # fig6, fig7, fig8, fig9a, fig9b,
-//	                            # policies, dyntopo
+//	experiments -only fig8      # one experiment by name (see -h); an
+//	                            # unknown name exits 1 before running
 //	experiments -full           # paper-scale 15-ary 3-flat (slow)
 //	experiments -duration 10ms  # longer measurement window
 //	experiments -parallel 4     # cap concurrent simulations (default: one per CPU)
@@ -22,6 +21,7 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -31,6 +31,34 @@ import (
 )
 
 var errors int
+
+// experiment is one table or figure the harness regenerates, by its
+// -only name.
+type experiment struct {
+	name string
+	run  func(epnet.EvalConfig)
+}
+
+// experiments lists them in the order the harness runs them.
+var experiments = []experiment{
+	{"table1", table1},
+	{"fig1", fig1},
+	{"fig5", fig5},
+	{"fig6", fig6},
+	{"fig7", fig7},
+	{"fig8", fig8},
+	{"fig9a", fig9a},
+	{"fig9b", fig9b},
+	{"policies", policies},
+	{"dyntopo", dyntopo},
+	{"routing", routingAblation},
+	{"reactivation", reactivation},
+	{"oversub", oversub},
+	{"topocompare", topocompare},
+	{"serdes", serdes},
+	{"resilience", resilience},
+	{"faultgrid", faultgrid},
+}
 
 func main() {
 	var loader cli.Loader
@@ -43,6 +71,14 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	runtimeMetrics := flag.String("runtime-metrics", "", "dump the Go runtime/metrics snapshot at exit to this file")
 	flag.Parse()
+	if *only != "" && !slices.ContainsFunc(experiments, func(x experiment) bool { return x.name == *only }) {
+		names := make([]string, len(experiments))
+		for i, x := range experiments {
+			names[i] = x.name
+		}
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (valid: %s)\n", *only, strings.Join(names, ", "))
+		os.Exit(1)
+	}
 
 	// -full picks the evaluation base; the shared loader then overlays
 	// -preset/-scenario and any explicitly set flags on top of it, so
@@ -73,40 +109,22 @@ func main() {
 		// Stopped explicitly before exit: os.Exit skips defers.
 	}
 
-	run := func(name string, fn func(epnet.EvalConfig)) {
-		if *only != "" && *only != name {
-			return
-		}
-		start := time.Now()
-		fn(eval)
-		// Timing is diagnostic and varies run to run; keep it off stdout
-		// so experiment output is byte-identical across runs and across
-		// -parallel settings.
-		fmt.Fprintf(os.Stderr, "  [%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
-		fmt.Println()
-	}
-
 	fmt.Printf("== Energy Proportional Datacenter Networks — experiment harness ==\n")
 	fmt.Printf("scale: %d-ary %d-flat c=%d, warmup %v, window %v\n\n",
 		eval.K, eval.N, eval.C, eval.Warmup, eval.Duration)
 
-	run("table1", table1)
-	run("fig1", fig1)
-	run("fig5", fig5)
-	run("fig6", fig6)
-	run("fig7", fig7)
-	run("fig8", fig8)
-	run("fig9a", fig9a)
-	run("fig9b", fig9b)
-	run("policies", policies)
-	run("dyntopo", dyntopo)
-	run("routing", routingAblation)
-	run("reactivation", reactivation)
-	run("oversub", oversub)
-	run("topocompare", topocompare)
-	run("serdes", serdes)
-	run("resilience", resilience)
-	run("faultgrid", faultgrid)
+	for _, x := range experiments {
+		if *only != "" && *only != x.name {
+			continue
+		}
+		start := time.Now()
+		x.run(eval)
+		// Timing is diagnostic and varies run to run; keep it off stdout
+		// so experiment output is byte-identical across runs and across
+		// -parallel settings.
+		fmt.Fprintf(os.Stderr, "  [%s completed in %v]\n", x.name, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+	}
 
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()

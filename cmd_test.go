@@ -5,6 +5,8 @@ package epnet
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -62,6 +64,31 @@ func TestCommandsSmoke(t *testing.T) {
 		for _, want := range []string{"8235", "4096", "$1.61M", "$2.89M"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("experiments table1 missing %q", want)
+			}
+		}
+	})
+
+	t.Run("experiments-unknown-only", func(t *testing.T) {
+		bin := buildTool(t, dir, "experiments")
+		// A name outside the list fails before anything runs, a
+		// comma-separated list included: no header, exit status 1.
+		for _, name := range []string{"nosuch", "fig7,fig8"} {
+			var stdout, stderr strings.Builder
+			cmd := exec.Command(bin, "-only", name)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("-only %s: err = %v, want exit status 1", name, err)
+			}
+			if want := fmt.Sprintf("experiments: unknown experiment %q", name); !strings.Contains(stderr.String(), want) {
+				t.Errorf("-only %s: stderr %q lacks %q", name, stderr.String(), want)
+			}
+			if !strings.Contains(stderr.String(), "faultgrid") {
+				t.Errorf("-only %s: stderr %q does not list the valid names", name, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("-only %s printed to stdout:\n%s", name, stdout.String())
 			}
 		}
 	})
