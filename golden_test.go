@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -164,4 +165,107 @@ func TestTelemetryExampleGoldens(t *testing.T) {
 		}
 		checkGolden(t, filepath.Join("results", f.golden), got)
 	}
+}
+
+// TestConfigJSONGolden pins Config's JSON form, one json.Marshal line
+// per config: the zero Config, DefaultConfig, each preset in PresetNames
+// order, each embedded scenario loaded over DefaultConfig, and one
+// config with every field set. The last fails the test when a field
+// other than Inspector is zero, so a new field has to join it and its
+// key shows up here.
+func TestConfigJSONGolden(t *testing.T) {
+	cfgs := []Config{{}, DefaultConfig()}
+	for _, name := range PresetNames() {
+		p, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, p)
+	}
+	for _, name := range ScenarioNames() {
+		c, err := LoadScenario(name, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, c)
+	}
+	diurnal, err := LoadScenario("diurnal", DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := Config{
+		Topology: TopoFatTree, K: 6, N: 3, C: 5,
+		Workload: WorkloadTrace, Load: 0.3, TracePath: "search.trace",
+		Policy: PolicyQueueAware, TargetUtil: 0.625,
+		Independent: true, Routing: RoutingDOR, ModeAwareReactivation: true,
+		Reactivation: 250 * time.Nanosecond, Epoch: 2500 * time.Nanosecond,
+		DynTopo: true,
+		Warmup:  150 * time.Microsecond, Duration: 1500 * time.Microsecond,
+		Seed: 7, Shards: 3, MaxPacket: 4096,
+		PowerSampleEvery: 25 * time.Microsecond,
+		MetricsOut:       "metrics.jsonl", SampleInterval: 50 * time.Microsecond,
+		TraceOut: "trace.json", HeatmapOut: "heatmap.csv", HistOut: "hist.csv",
+		Attribution: true, Profile: true, ProfileOut: "profile.csv",
+		FlowTrace: true, FlowSample: 0.125, FlowsOut: "flows.csv",
+		Faults:    "50us fail-link s0p8; 400us repair-link s0p8",
+		FaultRate: 0.5, FaultMTTR: 120 * time.Microsecond,
+		Scenario: diurnal.Scenario,
+	}
+	v := reflect.ValueOf(full)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Inspector" && v.Field(i).IsZero() {
+			t.Errorf("Config.%s is zero in the all-fields config; set it so its key is pinned", name)
+		}
+	}
+	cfgs = append(cfgs, full)
+	var b bytes.Buffer
+	for _, c := range cfgs {
+		line, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	checkGolden(t, filepath.Join("results", "config_json.jsonl"), b.Bytes())
+}
+
+// TestFlowReportGolden pins the flow-trace report in its three forms:
+// the -flows-out JSON, the per-phase CSV and the text epsim -flow-trace
+// prints. The run is the one make smoke-flows traces: the chaos
+// scenario with every packet traced, so the report carries phases,
+// exemplars, fault dumps and a drop dump.
+func TestFlowReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full scenario run")
+	}
+	cfg, err := LoadScenario("chaos", DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Warmup = 100 * time.Microsecond
+	cfg.Shards = 1
+	cfg.FlowSample = 1
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "flows.json")
+	if err := writeFlowsOut(path, res.FlowTrace); err != nil {
+		t.Fatal(err)
+	}
+	js, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv, txt bytes.Buffer
+	if err := res.FlowTrace.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.FlowTrace.WriteReport(&txt); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("results", "flows_example.json"), js)
+	checkGolden(t, filepath.Join("results", "flows_example.csv"), csv.Bytes())
+	checkGolden(t, filepath.Join("results", "flows_example.txt"), txt.Bytes())
 }
