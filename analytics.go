@@ -8,59 +8,31 @@ import (
 	"epnet/internal/topo"
 )
 
-// TopologyRow is one column of the paper's Table 1: the part counts and
-// power of a 32k-host network at fixed bisection bandwidth.
-type TopologyRow struct {
-	Name            string
-	Hosts           int
-	BisectionGbps   float64
-	ElectricalLinks int
-	OpticalLinks    int
-	SwitchChips     int
-	TotalWatts      float64
-	WattsPerGbps    float64
-}
-
-// Table1Result holds both Table 1 columns and the derived savings quoted
-// in the paper's text.
-type Table1Result struct {
-	Clos  TopologyRow
-	FBFLY TopologyRow
-	// SavingsWatts is the power difference (409,600 W in the paper).
-	SavingsWatts float64
-	// SavingsDollars over the four-year service life (~$1.6M).
-	SavingsDollars float64
-	// FBFLYBaselineDollars is the four-year energy cost of the always-on
-	// FBFLY (~$2.89M) — the savings dynamic range can still recover.
-	FBFLYBaselineDollars float64
-}
-
-func toRow(r power.TopologyRow) TopologyRow {
-	return TopologyRow{
-		Name:            r.Name,
-		Hosts:           r.Hosts,
-		BisectionGbps:   r.BisectionGbps,
-		ElectricalLinks: r.ElectricalLinks,
-		OpticalLinks:    r.OpticalLinks,
-		SwitchChips:     r.SwitchChips,
-		TotalWatts:      r.TotalWatts,
-		WattsPerGbps:    r.WattsPerGbps,
-	}
-}
+// The analytic results are computed in internal/power; these aliases
+// are their public names.
+type (
+	// TopologyRow is one column of the paper's Table 1: the part counts
+	// and power of a 32k-host network at fixed bisection bandwidth.
+	TopologyRow = power.TopologyRow
+	// Table1Result holds both Table 1 columns and the derived savings
+	// quoted in the paper's text.
+	Table1Result = power.Table1
+	// Figure1Scenario is one bar group of the paper's Figure 1.
+	Figure1Scenario = power.Figure1Scenario
+	// Figure1Result is the server-vs-network power comparison of
+	// Figure 1.
+	Figure1Result = power.Figure1
+	// ITRSPoint is one year of the Figure 6 roadmap trends.
+	ITRSPoint = power.ITRSPoint
+	// SerDesPoint is one evaluated lane design point of the §6 channel
+	// design exploration.
+	SerDesPoint = power.DesignPoint
+)
 
 // Table1 reproduces the paper's Table 1: a 32k-host folded Clos vs an
 // 8-ary 5-flat flattened butterfly at 655 Tb/s bisection, built from
 // 36-port 40 Gb/s switches at 100 W per chip and 10 W per NIC.
-func Table1() Table1Result {
-	t := power.PaperTable1()
-	return Table1Result{
-		Clos:                 toRow(t.Clos),
-		FBFLY:                toRow(t.FBFLY),
-		SavingsWatts:         t.SavingsWatts,
-		SavingsDollars:       t.SavingsDollars,
-		FBFLYBaselineDollars: t.FBFLYBaselineDollars,
-	}
-}
+func Table1() Table1Result { return power.PaperTable1() }
 
 // CustomTable1 computes the same comparison for an arbitrary FBFLY shape
 // and chip radix (hosts are derived from the FBFLY shape).
@@ -69,58 +41,15 @@ func CustomTable1(k, n, c, chipRadix int) (Table1Result, error) {
 	if err != nil {
 		return Table1Result{}, err
 	}
-	t, err := power.ComputeTable1(f.NumHosts(), chipRadix, f,
+	return power.ComputeTable1(f.NumHosts(), chipRadix, f,
 		power.DefaultPartPower(), power.DefaultCostModel(), link.Rate40G)
-	if err != nil {
-		return Table1Result{}, err
-	}
-	return Table1Result{
-		Clos:                 toRow(t.Clos),
-		FBFLY:                toRow(t.FBFLY),
-		SavingsWatts:         t.SavingsWatts,
-		SavingsDollars:       t.SavingsDollars,
-		FBFLYBaselineDollars: t.FBFLYBaselineDollars,
-	}, nil
-}
-
-// Figure1Scenario is one bar group of the paper's Figure 1.
-type Figure1Scenario struct {
-	Name            string
-	ServerWatts     float64
-	NetworkWatts    float64
-	NetworkFraction float64
-}
-
-// Figure1Result is the server-vs-network power comparison of Figure 1.
-type Figure1Result struct {
-	Scenarios []Figure1Scenario
-	// NetworkSavingsWatts from an energy proportional network at 15%
-	// utilization (975 kW in the paper); NetworkSavingsDollars over the
-	// four-year service life (~$3.8M).
-	NetworkSavingsWatts   float64
-	NetworkSavingsDollars float64
 }
 
 // Figure1 reproduces the paper's Figure 1: a 32k-server cluster at
 // 250 W/server with the Table 1 folded-Clos network, at full
 // utilization, at 15% with energy-proportional servers, and at 15% with
 // an energy-proportional network too.
-func Figure1() Figure1Result {
-	f := power.PaperFigure1()
-	out := Figure1Result{
-		NetworkSavingsWatts:   f.NetworkSavingsWatts,
-		NetworkSavingsDollars: f.NetworkSavingsDollars,
-	}
-	for _, s := range f.Scenarios {
-		out.Scenarios = append(out.Scenarios, Figure1Scenario{
-			Name:            s.Name,
-			ServerWatts:     s.ServerWatts,
-			NetworkWatts:    s.NetworkWatts,
-			NetworkFraction: s.NetworkFraction(),
-		})
-	}
-	return out
-}
+func Figure1() Figure1Result { return power.PaperFigure1() }
 
 // ProfilePoint is one operating mode of the Figure 5 switch profile.
 type ProfilePoint struct {
@@ -145,24 +74,10 @@ func Figure5() (points []ProfilePoint, idleFloor, offResidue float64) {
 	return points, m.IdleFloor(), m.Off()
 }
 
-// ITRSPoint is one year of the Figure 6 roadmap trends.
-type ITRSPoint struct {
-	Year          int
-	IOBandwidthTb float64
-	OffChipGbps   float64
-	PackagePinsK  float64
-}
-
 // Figure6 returns the ITRS bandwidth/pin/clock trend series plotted in
 // the paper's Figure 6 (see internal/power for the reconstruction
 // notes).
-func Figure6() []ITRSPoint {
-	var out []ITRSPoint
-	for _, p := range power.ITRSTrends() {
-		out = append(out, ITRSPoint(p))
-	}
-	return out
-}
+func Figure6() []ITRSPoint { return power.ITRSTrends() }
 
 // DataRateMode is one row of the paper's Table 2 (InfiniBand data
 // rates).
@@ -197,17 +112,6 @@ func CostOfWatts(watts float64) float64 {
 	return power.DefaultCostModel().Dollars(watts)
 }
 
-// SerDesPoint is one evaluated lane design point of the §6 channel
-// design exploration.
-type SerDesPoint struct {
-	LaneGbps    float64
-	LaneMW      float64
-	PJPerBit    float64
-	Feasible    bool
-	LanesFor40G int
-	PortMW      float64
-}
-
 // SerDesChannel names one of the modeled channel classes.
 type SerDesChannel string
 
@@ -236,9 +140,6 @@ func SerDesSweep(ch SerDesChannel) (points []SerDesPoint, best SerDesPoint, err 
 	default:
 		return nil, SerDesPoint{}, fmt.Errorf("epnet: unknown channel class %q", ch)
 	}
-	pts, b := power.SweepLaneRate(d, power.DefaultLaneRates())
-	for _, p := range pts {
-		points = append(points, SerDesPoint(p))
-	}
-	return points, SerDesPoint(b), nil
+	points, best = power.SweepLaneRate(d, power.DefaultLaneRates())
+	return points, best, nil
 }

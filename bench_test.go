@@ -39,7 +39,7 @@ func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f = Figure1()
 	}
-	b.ReportMetric(f.Scenarios[1].NetworkFraction*100, "network-pct-at-15pct-util")
+	b.ReportMetric(f.Scenarios[1].NetworkFraction()*100, "network-pct-at-15pct-util")
 	b.ReportMetric(f.NetworkSavingsWatts/1000, "saved-kW")
 }
 

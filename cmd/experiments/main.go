@@ -220,7 +220,7 @@ func fig1(epnet.EvalConfig) {
 	f := epnet.Figure1()
 	for _, s := range f.Scenarios {
 		fmt.Printf("%-62s servers %8.0f kW  network %7.0f kW  (network = %4.1f%%)\n",
-			s.Name, s.ServerWatts/1000, s.NetworkWatts/1000, s.NetworkFraction*100)
+			s.Name, s.ServerWatts/1000, s.NetworkWatts/1000, s.NetworkFraction()*100)
 	}
 	fmt.Printf("\nenergy-proportional network saves %.0f kW = $%.2fM over four years (paper: 975 kW, ~$3.8M)\n",
 		f.NetworkSavingsWatts/1000, f.NetworkSavingsDollars/1e6)

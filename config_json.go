@@ -3,7 +3,9 @@ package epnet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"time"
 
@@ -15,144 +17,36 @@ import (
 // numbers are accepted on input as nanoseconds.
 type Duration = scenario.Duration
 
-// configJSON is Config's wire form: snake_case keys, durations as
-// strings. It exists so Config's JSON schema is explicit and versioned
-// by this one declaration rather than implied by Go field names.
-// Inspector is runtime wiring and has no wire form.
-type configJSON struct {
-	Topology TopologyKind `json:"topology,omitempty"`
-	K        int          `json:"k,omitempty"`
-	N        int          `json:"n,omitempty"`
-	C        int          `json:"c,omitempty"`
-
-	Workload  WorkloadKind `json:"workload,omitempty"`
-	Load      float64      `json:"load,omitempty"`
-	TracePath string       `json:"trace_path,omitempty"`
-
-	Policy     PolicyKind `json:"policy,omitempty"`
-	TargetUtil float64    `json:"target_util,omitempty"`
-
-	Independent           bool        `json:"independent,omitempty"`
-	Routing               RoutingKind `json:"routing,omitempty"`
-	ModeAwareReactivation bool        `json:"mode_aware_reactivation,omitempty"`
-
-	Reactivation Duration `json:"reactivation,omitempty"`
-	Epoch        Duration `json:"epoch,omitempty"`
-
-	DynTopo bool `json:"dyn_topo,omitempty"`
-
-	Warmup   Duration `json:"warmup,omitempty"`
-	Duration Duration `json:"duration,omitempty"`
-
-	Seed      int64 `json:"seed,omitempty"`
-	Shards    int   `json:"shards,omitempty"`
-	MaxPacket int   `json:"max_packet,omitempty"`
-
-	PowerSampleEvery Duration `json:"power_sample_every,omitempty"`
-	MetricsOut       string   `json:"metrics_out,omitempty"`
-	SampleInterval   Duration `json:"sample_interval,omitempty"`
-	TraceOut         string   `json:"trace_out,omitempty"`
-	HeatmapOut       string   `json:"heatmap_out,omitempty"`
-	HistOut          string   `json:"hist_out,omitempty"`
-	Attribution      bool     `json:"attribution,omitempty"`
-	Profile          bool     `json:"profile,omitempty"`
-	ProfileOut       string   `json:"profile_out,omitempty"`
-	FlowTrace        bool     `json:"flow_trace,omitempty"`
-	FlowSample       float64  `json:"flow_sample,omitempty"`
-	FlowsOut         string   `json:"flows_out,omitempty"`
-
-	Faults    string   `json:"faults,omitempty"`
-	FaultRate float64  `json:"fault_rate,omitempty"`
-	FaultMTTR Duration `json:"fault_mttr,omitempty"`
-
-	Scenario *Scenario `json:"scenario,omitempty"`
-}
-
-// wire converts the in-memory Config to its wire form.
-func (c Config) wire() configJSON {
-	return configJSON{
-		Topology:              c.Topology,
-		K:                     c.K,
-		N:                     c.N,
-		C:                     c.C,
-		Workload:              c.Workload,
-		Load:                  c.Load,
-		TracePath:             c.TracePath,
-		Policy:                c.Policy,
-		TargetUtil:            c.TargetUtil,
-		Independent:           c.Independent,
-		Routing:               c.Routing,
-		ModeAwareReactivation: c.ModeAwareReactivation,
-		Reactivation:          Duration(c.Reactivation),
-		Epoch:                 Duration(c.Epoch),
-		DynTopo:               c.DynTopo,
-		Warmup:                Duration(c.Warmup),
-		Duration:              Duration(c.Duration),
-		Seed:                  c.Seed,
-		Shards:                c.Shards,
-		MaxPacket:             c.MaxPacket,
-		PowerSampleEvery:      Duration(c.PowerSampleEvery),
-		MetricsOut:            c.MetricsOut,
-		SampleInterval:        Duration(c.SampleInterval),
-		TraceOut:              c.TraceOut,
-		HeatmapOut:            c.HeatmapOut,
-		HistOut:               c.HistOut,
-		Attribution:           c.Attribution,
-		Profile:               c.Profile,
-		ProfileOut:            c.ProfileOut,
-		FlowTrace:             c.FlowTrace,
-		FlowSample:            c.FlowSample,
-		FlowsOut:              c.FlowsOut,
-		Faults:                c.Faults,
-		FaultRate:             c.FaultRate,
-		FaultMTTR:             Duration(c.FaultMTTR),
-		Scenario:              c.Scenario,
+// wireType is Config's JSON form, derived from Config itself: the same
+// fields in the same order under their json tags, except that each
+// time.Duration is carried as Duration so that it reads and writes as
+// "250us". Key order is Config's field order. Inspector's "-" tag keeps
+// it off the wire.
+var wireType = func() reflect.Type {
+	t := reflect.TypeOf(Config{})
+	fields := make([]reflect.StructField, t.NumField())
+	for i := range fields {
+		fields[i] = t.Field(i)
+		if fields[i].Type == reflect.TypeOf(time.Duration(0)) {
+			fields[i].Type = reflect.TypeOf(Duration(0))
+		}
 	}
-}
+	return reflect.StructOf(fields)
+}()
 
-// unwire copies the wire form back into the Config.
-func (c *Config) unwire(w configJSON) {
-	c.Topology = w.Topology
-	c.K = w.K
-	c.N = w.N
-	c.C = w.C
-	c.Workload = w.Workload
-	c.Load = w.Load
-	c.TracePath = w.TracePath
-	c.Policy = w.Policy
-	c.TargetUtil = w.TargetUtil
-	c.Independent = w.Independent
-	c.Routing = w.Routing
-	c.ModeAwareReactivation = w.ModeAwareReactivation
-	c.Reactivation = time.Duration(w.Reactivation)
-	c.Epoch = time.Duration(w.Epoch)
-	c.DynTopo = w.DynTopo
-	c.Warmup = time.Duration(w.Warmup)
-	c.Duration = time.Duration(w.Duration)
-	c.Seed = w.Seed
-	c.Shards = w.Shards
-	c.MaxPacket = w.MaxPacket
-	c.PowerSampleEvery = time.Duration(w.PowerSampleEvery)
-	c.MetricsOut = w.MetricsOut
-	c.SampleInterval = time.Duration(w.SampleInterval)
-	c.TraceOut = w.TraceOut
-	c.HeatmapOut = w.HeatmapOut
-	c.HistOut = w.HistOut
-	c.Attribution = w.Attribution
-	c.Profile = w.Profile
-	c.ProfileOut = w.ProfileOut
-	c.FlowTrace = w.FlowTrace
-	c.FlowSample = w.FlowSample
-	c.FlowsOut = w.FlowsOut
-	c.Faults = w.Faults
-	c.FaultRate = w.FaultRate
-	c.FaultMTTR = time.Duration(w.FaultMTTR)
-	c.Scenario = w.Scenario
+// copyFields copies src into dst field by field; one is a Config, the
+// other a wireType value.
+func copyFields(dst, src reflect.Value) {
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).Set(src.Field(i).Convert(dst.Field(i).Type()))
+	}
 }
 
 // MarshalJSON implements json.Marshaler with the snake_case wire form.
 func (c Config) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.wire())
+	w := reflect.New(wireType).Elem()
+	copyFields(w, reflect.ValueOf(c))
+	return json.Marshal(w.Interface())
 }
 
 // UnmarshalJSON implements json.Unmarshaler strictly: unknown fields
@@ -162,20 +56,40 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // partial documents are overlays, which is what lets a scenario's
 // config block override just the knobs it cares about.
 func (c *Config) UnmarshalJSON(data []byte) error {
-	w := c.wire()
+	w := reflect.New(wireType)
+	copyFields(w.Elem(), reflect.ValueOf(c).Elem())
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		if f := unknownJSONField(err); f != "" {
-			return fieldErr(f, "unknown config field %q", f)
-		}
-		return fieldErr("Config", "%v", err)
+	if err := dec.Decode(w.Interface()); err != nil {
+		return decodeErr(err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return fieldErr("Config", "trailing data after the config object")
 	}
-	c.unwire(w)
+	copyFields(reflect.ValueOf(c).Elem(), w.Elem())
 	return nil
+}
+
+// decodeErr names the field a decoding error is about. An unknown key
+// is named as written. A value of the wrong JSON type is named by the
+// Go field its top-level key belongs to, so keys nested under
+// "scenario" name Scenario. Other errors carry no key and name Config;
+// a malformed duration is one.
+func decodeErr(err error) error {
+	if f := unknownJSONField(err); f != "" {
+		return fieldErr(f, "unknown config field %q", f)
+	}
+	var te *json.UnmarshalTypeError
+	if errors.As(err, &te) {
+		key, _, _ := strings.Cut(te.Field, ".")
+		for i := 0; i < wireType.NumField(); i++ {
+			f := wireType.Field(i)
+			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == key {
+				return fieldErr(f.Name, "%q: want %v, got JSON %s", te.Field, te.Type, te.Value)
+			}
+		}
+	}
+	return fieldErr("Config", "%v", err)
 }
 
 // unknownJSONField extracts the field name from encoding/json's

@@ -121,58 +121,61 @@ const (
 )
 
 // Config describes one simulation run. The zero value is not runnable;
-// start from DefaultConfig.
+// start from DefaultConfig. Each field's json tag is its key in
+// Config's JSON form (see MarshalJSON).
 type Config struct {
 	// Topology selects the network shape (default flattened butterfly).
-	Topology TopologyKind
+	Topology TopologyKind `json:"topology,omitempty"`
 	// K, N, C give the k-ary n-flat shape with concentration c. The
 	// paper's simulated system is K=15, N=3, C=15 (3,375 hosts); the
 	// default here is a smaller instance for fast runs.
-	K, N, C int
+	K int `json:"k,omitempty"`
+	N int `json:"n,omitempty"`
+	C int `json:"c,omitempty"`
 
 	// Workload selects the offered traffic; Load overrides its default
 	// average utilization when positive.
-	Workload WorkloadKind
-	Load     float64
+	Workload WorkloadKind `json:"workload,omitempty"`
+	Load     float64      `json:"load,omitempty"`
 	// TracePath is the trace file replayed when Workload is
 	// WorkloadTrace (the binary format written by cmd/tracegen).
-	TracePath string
+	TracePath string `json:"trace_path,omitempty"`
 
 	// Policy is the link control policy; TargetUtil is its target
 	// channel utilization (paper default 0.5).
-	Policy     PolicyKind
-	TargetUtil float64
+	Policy     PolicyKind `json:"policy,omitempty"`
+	TargetUtil float64    `json:"target_util,omitempty"`
 
 	// Independent enables independent control of the two unidirectional
 	// channels of each link (§3.3.1); false ties link pairs together.
-	Independent bool
+	Independent bool `json:"independent,omitempty"`
 
 	// Routing selects adaptive (default) or dimension-order routing.
-	Routing RoutingKind
+	Routing RoutingKind `json:"routing,omitempty"`
 
 	// ModeAwareReactivation charges per-transition penalties from the
 	// SerDes model (§3.1: CDR re-lock ~100 ns for rate-only changes,
 	// ~1 µs lane retraining) instead of the flat Reactivation.
-	ModeAwareReactivation bool
+	ModeAwareReactivation bool `json:"mode_aware_reactivation,omitempty"`
 
 	// Reactivation is the link reconfiguration penalty (default 1 µs);
 	// Epoch is the utilization measurement window (default 10x
 	// reactivation, per §4.2.2).
-	Reactivation time.Duration
-	Epoch        time.Duration
+	Reactivation time.Duration `json:"reactivation,omitempty"`
+	Epoch        time.Duration `json:"epoch,omitempty"`
 
 	// DynTopo additionally enables the §5.1 dynamic topology
 	// controller (flattened butterfly only).
-	DynTopo bool
+	DynTopo bool `json:"dyn_topo,omitempty"`
 
 	// Warmup and Duration split the run: statistics (latency, power,
 	// occupancy) are collected only during the Duration window after
 	// Warmup ends. Injection runs through both.
-	Warmup   time.Duration
-	Duration time.Duration
+	Warmup   time.Duration `json:"warmup,omitempty"`
+	Duration time.Duration `json:"duration,omitempty"`
 
 	// Seed makes the run reproducible.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
 	// Shards, when > 1, partitions the fabric's switches (with their
 	// attached hosts) across this many workers that advance in
@@ -189,16 +192,16 @@ type Config struct {
 	// (TraceOut). 1 forces the serial engine; counts above the switch
 	// count are capped to it. Explicit Shards > 1 is incompatible with
 	// TraceOut (the trace stream is single-writer).
-	Shards int
+	Shards int `json:"shards,omitempty"`
 
 	// MaxPacket is the segmentation size (default 2048 bytes).
-	MaxPacket int
+	MaxPacket int `json:"max_packet,omitempty"`
 
 	// PowerSampleEvery, when positive, samples instantaneous network
 	// power and offered utilization at this interval during the
 	// measurement window, populating Result.PowerTrace — a direct view
 	// of the network's power tracking its load.
-	PowerSampleEvery time.Duration
+	PowerSampleEvery time.Duration `json:"power_sample_every,omitempty"`
 
 	// MetricsOut, when non-empty, writes a sampled time series of every
 	// registered telemetry metric (link rates and states, switch queue
@@ -207,8 +210,8 @@ type Config struct {
 	// default, JSON Lines when the path ends in ".jsonl".
 	// SampleInterval is the sampling period; it defaults to Epoch, so
 	// the series resolves per-epoch link rate changes.
-	MetricsOut     string
-	SampleInterval time.Duration
+	MetricsOut     string        `json:"metrics_out,omitempty"`
+	SampleInterval time.Duration `json:"sample_interval,omitempty"`
 
 	// TraceOut, when non-empty, streams a Chrome trace_event JSON file
 	// to this path: packet lifetime spans (inject -> deliver) and link
@@ -216,25 +219,25 @@ type Config struct {
 	// in chrome://tracing or https://ui.perfetto.dev. When unset — the
 	// default — the packet path carries no tracing work beyond one nil
 	// check.
-	TraceOut string
+	TraceOut string `json:"trace_out,omitempty"`
 
 	// HeatmapOut, when non-empty, writes a utilization x time heatmap
 	// CSV at the end of the run: one row per inter-switch channel, one
 	// column per SampleInterval, each cell the channel's utilization
 	// over that interval — the per-link view behind the paper's Figs
 	// 8-13.
-	HeatmapOut string
+	HeatmapOut string `json:"heatmap_out,omitempty"`
 
 	// HistOut, when non-empty, writes a link-utilization histogram CSV
 	// (the paper's Fig 8 view): how often links sit at each utilization
 	// level, aggregated over all inter-switch channels and all sample
 	// intervals of the run.
-	HistOut string
+	HistOut string `json:"hist_out,omitempty"`
 
 	// Attribution, when true, populates Result.Attribution with the
 	// per-channel energy/utilization breakdown. Off by default to keep
 	// Result compact at paper scale (thousands of channels).
-	Attribution bool
+	Attribution bool `json:"attribution,omitempty"`
 
 	// Profile, when true, self-profiles the simulation engine and
 	// populates Result.Profile: per-shard wall-clock busy / barrier-wait
@@ -244,12 +247,12 @@ type Config struct {
 	// the deterministic simulation path (at window and barrier
 	// granularity, never per packet), so every other Result field and
 	// every telemetry CSV is byte-identical with profiling on or off.
-	Profile bool
+	Profile bool `json:"profile,omitempty"`
 
 	// ProfileOut, when non-empty, writes the engine profile to this path
 	// at the end of the run — JSON by default, a per-shard CSV when the
 	// path ends in ".csv" — and implies Profile.
-	ProfileOut string
+	ProfileOut string `json:"profile_out,omitempty"`
 
 	// FlowTrace, when true, hash-samples packets at injection and carries
 	// a compact per-hop log on each sampled packet: queue wait, credit
@@ -262,19 +265,19 @@ type Config struct {
 	// seed, so the sampled set — and every FlowTrace byte — is identical
 	// across shard counts; with tracing off the packet path carries
 	// nothing beyond one nil check.
-	FlowTrace bool
+	FlowTrace bool `json:"flow_trace,omitempty"`
 
 	// FlowSample is the flow-tracing sample rate in (0,1]: the expected
 	// fraction of packets carrying a hop log. 0 defaults to 1/64. 1
 	// traces every packet (exact decompositions, highest overhead). A
 	// positive rate implies FlowTrace.
-	FlowSample float64
+	FlowSample float64 `json:"flow_sample,omitempty"`
 
 	// FlowsOut, when non-empty, writes the flow-trace report to this
 	// path at the end of the run — JSON by default, a per-phase
 	// decomposition CSV when the path ends in ".csv" — and implies
 	// FlowTrace.
-	FlowsOut string
+	FlowsOut string `json:"flows_out,omitempty"`
 
 	// Inspector, when non-nil, receives a Prometheus scrape body and a
 	// JSON per-entity snapshot at every sample tick, for live HTTP
@@ -297,7 +300,7 @@ type Config struct {
 	//	"50us fail-link s0p8; 100us degrade-link s1p8 10; 400us repair-link s0p8; 500us fail-random 4"
 	//
 	// Requires adaptive routing (the router must mask dead ports).
-	Faults string
+	Faults string `json:"faults,omitempty"`
 
 	// FaultRate, when positive, additionally injects seeded-random link
 	// failures and lane degradations at this expected rate (events per
@@ -305,8 +308,8 @@ type Config struct {
 	// links repair after an exponentially distributed time with mean
 	// FaultMTTR (default 200 µs). The sequence is a pure function of
 	// Seed: identical runs see identical fault histories.
-	FaultRate float64
-	FaultMTTR time.Duration
+	FaultRate float64       `json:"fault_rate,omitempty"`
+	FaultMTTR time.Duration `json:"fault_mttr,omitempty"`
 
 	// Scenario, when non-nil, drives the run as a sequence of named
 	// phases — traffic mixes with load shapes, policy switches, and
@@ -316,7 +319,7 @@ type Config struct {
 	// phase durations. The first phase's first traffic stream and policy
 	// are mirrored into Workload/Load/Policy/TargetUtil so reports and
 	// single-phase scenarios read like ordinary runs.
-	Scenario *Scenario
+	Scenario *Scenario `json:"scenario,omitempty"`
 }
 
 // DefaultConfig returns a fast-running configuration faithful to the
@@ -753,21 +756,9 @@ type LinkAttribution struct {
 	Drops   int64 `json:"drops"`
 }
 
-// FaultStats counts the fault events an injector executed during a run.
-type FaultStats struct {
-	LinkFailures     int64
-	LinkRepairs      int64
-	SwitchFailures   int64
-	SwitchRepairs    int64
-	LaneDegradations int64
-	LaneRestores     int64
-}
-
-// Total returns the number of injected fault events (repairs included).
-func (s FaultStats) Total() int64 {
-	return s.LinkFailures + s.LinkRepairs + s.SwitchFailures +
-		s.SwitchRepairs + s.LaneDegradations + s.LaneRestores
-}
+// FaultStats counts the fault events an injector executed during a run;
+// Total sums them.
+type FaultStats = fault.Stats
 
 // PhaseScore is one row of a scenario run's scorecard: delivery,
 // latency, energy, and fault exposure over one phase's slice of the

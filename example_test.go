@@ -27,7 +27,7 @@ func ExampleTable1() {
 func ExampleFigure1() {
 	f := epnet.Figure1()
 	for _, s := range f.Scenarios {
-		fmt.Printf("%-62s network share %4.1f%%\n", s.Name, s.NetworkFraction*100)
+		fmt.Printf("%-62s network share %4.1f%%\n", s.Name, s.NetworkFraction()*100)
 	}
 	fmt.Printf("energy proportional network saves %.0f kW\n", f.NetworkSavingsWatts/1000)
 	// Output:

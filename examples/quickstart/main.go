@@ -16,12 +16,12 @@ func main() {
 	// Start from the library defaults: an 8-ary 2-flat (64 hosts,
 	// 8 switches), the web-search-like workload, and the paper's
 	// halve/double link-rate policy with a 50% utilization target,
-	// 1 us reactivation and 10 us epochs. The common simulation knobs
-	// have With* options, and every Config field, outputs included,
-	// can be set directly; the two below just restate the defaults.
-	cfg := epnet.NewConfig(epnet.TopoFBFLY,
-		epnet.WithWorkload(epnet.WorkloadSearch),
-		epnet.WithPolicy(epnet.PolicyHalveDouble))
+	// 1 us reactivation and 10 us epochs. Every Config field, outputs
+	// included, is set directly; the two below just restate the
+	// defaults.
+	cfg := epnet.DefaultConfig()
+	cfg.Workload = epnet.WorkloadSearch
+	cfg.Policy = epnet.PolicyHalveDouble
 
 	res, err := epnet.Run(cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -59,8 +60,12 @@ func TestFlowTraceComponentsSumToLatency(t *testing.T) {
 			return // hop log capped; later hops carry the remainder
 		}
 		var hops FlowBreakdown
+		sum := reflect.ValueOf(&hops).Elem()
 		for _, h := range p.Hops {
-			hops.add(h.Breakdown)
+			hop := reflect.ValueOf(h.Breakdown)
+			for i := 0; i < hop.NumField(); i++ {
+				sum.Field(i).SetInt(sum.Field(i).Int() + hop.Field(i).Int())
+			}
 		}
 		if hops != p.Breakdown {
 			t.Errorf("%s pkt %d: hop breakdowns %+v != packet breakdown %+v",

@@ -26,6 +26,12 @@ type Stats struct {
 	LaneRestores     int64
 }
 
+// Total returns the number of injected fault events (repairs included).
+func (s Stats) Total() int64 {
+	return s.LinkFailures + s.LinkRepairs + s.SwitchFailures +
+		s.SwitchRepairs + s.LaneDegradations + s.LaneRestores
+}
+
 // Injector executes fault events against a running fabric. It owns the
 // coordination a fault needs across layers: powering channels off with
 // no drain (fabric drops and counts in-flight packets), masking dead

@@ -45,12 +45,6 @@ const (
 	FlowComponents
 )
 
-// FlowComponentNames names the components, indexed by the constants
-// above.
-var FlowComponentNames = [FlowComponents]string{
-	"queue", "credit", "retune", "busy", "cutthrough", "serialize", "wire", "route",
-}
-
 // MaxFlowHops bounds the per-packet hop log. Paths longer than this
 // (not reachable in the shipped topologies) fold their remaining hops
 // into the last record and set Truncated; the component sums stay exact.
@@ -239,7 +233,7 @@ type flowClass struct {
 
 // FlowCollector owns flow-tracing state for one network. Construct with
 // NewFlowCollector, attach via fabric's SetFlowCollector, read with
-// Snapshot at a quiescent point.
+// Report at a quiescent point.
 type FlowCollector struct {
 	rate      float64
 	all       bool
@@ -494,87 +488,4 @@ func (fc *FlowCollector) FaultDump(reason string, now sim.Time) {
 		recs = append([]FlightRecord(nil), recs[len(recs)-flightDumpRecent:]...)
 	}
 	fc.faults = append(fc.faults, &FlowDump{Reason: reason, At: now, Recent: recs})
-}
-
-// FlowClassStats is one class's merged latency decomposition.
-type FlowClassStats struct {
-	Name      string
-	Count     int64 // traced packets delivered
-	Drops     int64 // traced packets dropped
-	Bytes     int64 // traced bytes delivered
-	Hops      int64
-	SumLat    sim.Time
-	MaxLat    sim.Time
-	Comp      [FlowComponents]sim.Time
-	ChanBytes []int64 // traced delivered bytes per channel index
-}
-
-// FlowSnapshot is the merged, canonical view of a run's flow traces:
-// identical for the same simulation at any shard count.
-type FlowSnapshot struct {
-	SampleRate float64
-	Started    int64 // traces begun
-	Delivered  int64
-	Dropped    int64
-	Classes    []FlowClassStats
-	Exemplars  []*PacketTrace // globally slowest traced packets
-	Dumps      []*FlowDump    // fault dumps then earliest drop dumps
-}
-
-// Snapshot merges the per-shard state. Call only at a quiescent point
-// (between runs, or after the run completes). Aggregates merge by
-// order-independent sums; exemplars and dumps by canonical sorts — the
-// result is byte-identical across shard counts.
-func (fc *FlowCollector) Snapshot() *FlowSnapshot {
-	snap := &FlowSnapshot{
-		SampleRate: fc.rate,
-		Classes:    make([]FlowClassStats, len(fc.classes)),
-	}
-	for c := range fc.classes {
-		cs := &snap.Classes[c]
-		cs.Name = fc.classes[c].name
-		cs.ChanBytes = make([]int64, fc.nchans)
-	}
-	var exemplars []*PacketTrace
-	var drops []*FlowDump
-	for s := range fc.shards {
-		sh := &fc.shards[s]
-		snap.Started += sh.started
-		for c := range sh.stats {
-			acc := &sh.stats[c]
-			cs := &snap.Classes[c]
-			cs.Count += acc.count
-			cs.Drops += acc.drops
-			cs.Bytes += acc.bytes
-			cs.Hops += acc.hops
-			cs.SumLat += acc.sumLat
-			if acc.maxLat > cs.MaxLat {
-				cs.MaxLat = acc.maxLat
-			}
-			for k := range acc.comp {
-				cs.Comp[k] += acc.comp[k]
-			}
-			for ch, b := range acc.chanBytes {
-				cs.ChanBytes[ch] += b
-			}
-		}
-		exemplars = append(exemplars, sh.exemplars...)
-		drops = append(drops, sh.dumps...)
-	}
-	for c := range snap.Classes {
-		cs := &snap.Classes[c]
-		snap.Delivered += cs.Count
-		snap.Dropped += cs.Drops
-	}
-	sort.Slice(exemplars, func(i, j int) bool { return slower(exemplars[i], exemplars[j]) })
-	if len(exemplars) > flowExemplarKeep {
-		exemplars = exemplars[:flowExemplarKeep]
-	}
-	snap.Exemplars = exemplars
-	sort.Slice(drops, func(i, j int) bool { return earlierDump(drops[i], drops[j]) })
-	if len(drops) > flowDumpMax {
-		drops = drops[:flowDumpMax]
-	}
-	snap.Dumps = append(append([]*FlowDump(nil), fc.faults...), drops...)
-	return snap
 }

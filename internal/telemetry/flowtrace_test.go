@@ -78,7 +78,7 @@ func TestPacketTraceAccounting(t *testing.T) {
 	var sum sim.Time
 	for c, w := range want {
 		if got := tr.TotalComp(c); got != w {
-			t.Errorf("%s = %v, want %v", FlowComponentNames[c], got, w)
+			t.Errorf("%s = %v, want %v", flowComponentNames[c], got, w)
 		}
 		sum += tr.TotalComp(c)
 	}
@@ -86,16 +86,18 @@ func TestPacketTraceAccounting(t *testing.T) {
 		t.Errorf("components sum to %v, latency %v, want 18us", sum, lat)
 	}
 
-	snap := fc.Snapshot()
-	cs := snap.Classes[0]
-	if cs.Count != 1 || cs.Bytes != 2048 || cs.Hops != 2 || cs.SumLat != tus(18) {
+	// The energy join charges the traced bytes on channels 0 and 1 half
+	// and all of those channels' energy: 1 J + 3 J.
+	rep := fc.Report(nil, []float64{2, 3, 5, 7}, []int64{4096, 2048, 2048, 2048})
+	cs := rep.Classes[0]
+	if cs.Count != 1 || cs.Bytes != 2048 || cs.MeanHops != 2 || cs.MeanLatencyPs != int64(tus(18)) {
 		t.Errorf("class stats = %+v", cs)
 	}
-	if cs.ChanBytes[0] != 2048 || cs.ChanBytes[1] != 2048 {
-		t.Errorf("per-channel traced bytes = %v", cs.ChanBytes)
+	if want := 4e12 / (2048 * 8); cs.EnergyPJPerBit != want {
+		t.Errorf("energy = %v pJ/bit, want %v: per-channel traced bytes misjoined", cs.EnergyPJPerBit, want)
 	}
-	if len(snap.Exemplars) != 1 || snap.Exemplars[0].ID != 7 {
-		t.Errorf("exemplars = %+v", snap.Exemplars)
+	if len(rep.Exemplars) != 1 || rep.Exemplars[0].ID != 7 {
+		t.Errorf("exemplars = %+v", rep.Exemplars)
 	}
 }
 
@@ -111,7 +113,8 @@ func finishTrivial(fc *FlowCollector, shard int, id int64) {
 
 // TestFlowSnapshotShardCountInvariant pins the merge: the same traced
 // packets finished on one shard or spread across four produce deeply
-// equal snapshots — class sums, canonical exemplar set, dump order.
+// equal reports — class sums, the energy join over per-channel traced
+// bytes, canonical exemplar set, dump order.
 func TestFlowSnapshotShardCountInvariant(t *testing.T) {
 	serial := NewFlowCollector(1, 2, 1, 1)
 	sharded := NewFlowCollector(4, 2, 1, 1)
@@ -119,15 +122,19 @@ func TestFlowSnapshotShardCountInvariant(t *testing.T) {
 		finishTrivial(serial, 0, id)
 		finishTrivial(sharded, int(id%4), id)
 	}
-	a, b := serial.Snapshot(), sharded.Snapshot()
+	report := func(fc *FlowCollector) *FlowTraceReport {
+		return fc.Report([]string{"c0", "c1"}, []float64{0.5, 0.25}, []int64{1 << 20, 1 << 21})
+	}
+	a, b := report(serial), report(sharded)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("snapshots diverge across shard counts:\nserial:  %+v\nsharded: %+v", a, b)
+		t.Errorf("reports diverge across shard counts:\nserial:  %+v\nsharded: %+v", a, b)
 	}
 	if len(a.Exemplars) != flowExemplarKeep {
 		t.Errorf("exemplars = %d, want the slowest %d", len(a.Exemplars), flowExemplarKeep)
 	}
 	for i := 1; i < len(a.Exemplars); i++ {
-		if slower(a.Exemplars[i], a.Exemplars[i-1]) {
+		p, q := a.Exemplars[i-1], a.Exemplars[i]
+		if q.LatencyPs > p.LatencyPs || q.LatencyPs == p.LatencyPs && q.ID < p.ID {
 			t.Errorf("exemplar %d out of canonical order", i)
 		}
 	}
@@ -143,20 +150,20 @@ func TestFaultDumpStrictlyBefore(t *testing.T) {
 	fc.RecordTransmit(1, tus(2), 11, 1, 256)
 	fc.RecordTransmit(0, tus(3), 12, 0, 256) // at the epoch: excluded
 	fc.FaultDump("fault: channel c0 failed", tus(3))
-	snap := fc.Snapshot()
-	if len(snap.Dumps) != 1 {
-		t.Fatalf("dumps = %d, want 1", len(snap.Dumps))
+	rep := fc.Report(nil, nil, nil)
+	if len(rep.Dumps) != 1 {
+		t.Fatalf("dumps = %d, want 1", len(rep.Dumps))
 	}
-	d := snap.Dumps[0]
-	if d.Reason != "fault: channel c0 failed" || d.At != tus(3) {
+	d := rep.Dumps[0]
+	if d.Reason != "fault: channel c0 failed" || d.AtPs != int64(tus(3)) {
 		t.Errorf("dump = %+v", d)
 	}
 	if len(d.Recent) != 2 {
 		t.Fatalf("recent transmits = %d, want the 2 strictly before the fault", len(d.Recent))
 	}
 	for _, r := range d.Recent {
-		if r.At >= tus(3) {
-			t.Errorf("transmit at %v leaked into a dump at %v", r.At, tus(3))
+		if r.AtPs >= int64(tus(3)) {
+			t.Errorf("transmit at %v ps leaked into a dump at %v", r.AtPs, tus(3))
 		}
 	}
 }

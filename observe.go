@@ -238,7 +238,7 @@ func (o *observer) publish(now sim.Time) {
 		// Same quiescent instant; the live document carries no energy
 		// join (per-channel energies exist only at the end of the run).
 		o.flowBuf.Reset()
-		json.NewEncoder(&o.flowBuf).Encode(newFlowTraceReport(o.flow.Snapshot(), o.flowChans, nil, nil))
+		json.NewEncoder(&o.flowBuf).Encode(o.flow.Report(o.flowChans, nil, nil))
 		flows = make([]byte, o.flowBuf.Len())
 		copy(flows, o.flowBuf.Bytes())
 	}

@@ -7,35 +7,21 @@ import (
 
 func TestNewConfigOptions(t *testing.T) {
 	cfg := NewConfig(TopoFBFLY,
-		WithRadix(8),
-		WithDimensions(3),
-		WithPolicy(PolicyHalveDouble),
+		WithShape(8, 3, 8),
 		WithWorkload(WorkloadSearch),
-		WithTargetUtil(0.75),
-		WithIndependentChannels(),
-		WithReactivation(100*time.Nanosecond),
+		WithLoad(0.2),
 		WithWindow(time.Millisecond, 4*time.Millisecond),
+		WithShards(2),
 		WithSeed(7),
-		WithFaultRate(0.5, 100*time.Microsecond),
-		WithFaultSchedule("50us fail-link s0p8; 10us fail-random 2"),
 	)
 	if cfg.Topology != TopoFBFLY || cfg.K != 8 || cfg.C != 8 || cfg.N != 3 {
 		t.Errorf("shape = %s k=%d n=%d c=%d", cfg.Topology, cfg.K, cfg.N, cfg.C)
 	}
-	if cfg.Policy != PolicyHalveDouble || cfg.TargetUtil != 0.75 || !cfg.Independent {
-		t.Errorf("policy = %s target=%v independent=%v", cfg.Policy, cfg.TargetUtil, cfg.Independent)
-	}
-	if cfg.Reactivation != 100*time.Nanosecond || cfg.Epoch != time.Microsecond {
-		t.Errorf("reactivation = %v epoch = %v, want 10x scaling", cfg.Reactivation, cfg.Epoch)
+	if cfg.Workload != WorkloadSearch || cfg.Load != 0.2 || cfg.Shards != 2 {
+		t.Errorf("workload = %s load=%v shards=%d", cfg.Workload, cfg.Load, cfg.Shards)
 	}
 	if cfg.Warmup != time.Millisecond || cfg.Duration != 4*time.Millisecond || cfg.Seed != 7 {
 		t.Errorf("window = %v/%v seed=%d", cfg.Warmup, cfg.Duration, cfg.Seed)
-	}
-	if cfg.FaultRate != 0.5 || cfg.FaultMTTR != 100*time.Microsecond {
-		t.Errorf("fault rate = %v mttr = %v", cfg.FaultRate, cfg.FaultMTTR)
-	}
-	if cfg.Faults != "50us fail-link s0p8; 10us fail-random 2" {
-		t.Errorf("faults = %q", cfg.Faults)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("option-built config invalid: %v", err)
@@ -43,9 +29,9 @@ func TestNewConfigOptions(t *testing.T) {
 }
 
 func TestNewConfigLaterOptionWins(t *testing.T) {
-	cfg := NewConfig(TopoFBFLY, WithRadix(8), WithConcentration(4))
-	if cfg.K != 8 || cfg.C != 4 {
-		t.Errorf("k=%d c=%d, want 8/4 (WithConcentration after WithRadix)", cfg.K, cfg.C)
+	cfg := NewConfig(TopoFBFLY, WithShape(8, 2, 8), WithShape(4, 3, 4))
+	if cfg.K != 4 || cfg.N != 3 || cfg.C != 4 {
+		t.Errorf("k=%d n=%d c=%d, want 4/3/4 (the second WithShape)", cfg.K, cfg.N, cfg.C)
 	}
 }
 

@@ -469,7 +469,7 @@ func (r *run) collect(err error) (Result, error) {
 	}
 	flows, prof := res.FlowTrace, res.Profile
 	if flows == nil && r.flow != nil {
-		flows = newFlowTraceReport(r.flow.Snapshot(), chanLabels(r.net), nil, nil)
+		flows = r.flow.Report(chanLabels(r.net), nil, nil)
 	}
 	if prof == nil && r.eprof != nil {
 		prof = r.eprof.Snapshot()
@@ -651,7 +651,7 @@ func (r *run) result() Result {
 			float64(res.DeliveredPackets+res.DroppedPackets)
 	}
 	if r.inj != nil {
-		res.Faults = FaultStats(r.inj.Stats)
+		res.Faults = r.inj.Stats
 	}
 	res.BacklogBytes = net.HostBacklogBytes()
 	res.PeakQueueBytes = net.PeakQueueBytes()
@@ -660,12 +660,11 @@ func (r *run) result() Result {
 		res.PhaseScores = r.acct.scores(r.warmup, t.NumHosts(), r.ladder(), r.rec)
 	}
 	if r.flow != nil {
-		res.FlowTrace = newFlowTraceReport(r.flow.Snapshot(), chanLabels(net),
-			chanEnergy, chanTotBytes)
+		res.FlowTrace = r.flow.Report(chanLabels(net), chanEnergy, chanTotBytes)
 		// The collector's classes are the plan's phases, so a scorecard
 		// row and its decomposition line up by index.
 		for i := range res.PhaseScores {
-			res.FlowTrace.Classes[i].applyToScore(&res.PhaseScores[i])
+			applyToScore(&res.FlowTrace.Classes[i], &res.PhaseScores[i])
 		}
 	}
 	if r.eprof != nil {

@@ -512,7 +512,7 @@ func (a *phaseAccounting) snapshot() phaseSnap {
 		s.reconfigs = a.ctrl.Reconfigurations
 	}
 	if a.inj != nil {
-		s.faultEvents = FaultStats(a.inj.Stats).Total()
+		s.faultEvents = a.inj.Stats.Total()
 	}
 	return s
 }

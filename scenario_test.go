@@ -228,23 +228,32 @@ func TestPresetJSONRoundTrip(t *testing.T) {
 	check("scenario diurnal", cfg)
 }
 
-// TestConfigJSONStrictAndMerging pins the codec's two behaviors: unknown
-// fields are *ConfigFieldError rejections, and partial documents merge
-// over the receiver rather than zeroing it.
+// TestConfigJSONStrictAndMerging pins the codec's two behaviors:
+// unknown fields and values of the wrong type are *ConfigFieldError
+// rejections naming the field, and partial documents merge over the
+// receiver rather than zeroing it.
 func TestConfigJSONStrictAndMerging(t *testing.T) {
-	for _, tc := range []struct{ doc, field string }{
-		{`{"workload": "search", "bandwidth": 10}`, "bandwidth"},
+	for _, tc := range []struct{ doc, field, reason string }{
+		{`{"workload": "search", "bandwidth": 10}`, "bandwidth", "bandwidth"},
 		// Removed in favor of the "fail-random" Faults verb.
-		{`{"fail_links": 4}`, "fail_links"},
+		{`{"fail_links": 4}`, "fail_links", "fail_links"},
+		// A type error names the Go field of its key, with the
+		// expected and the actual type.
+		{`{"k": "x"}`, "K", "want int, got JSON string"},
+		{`{"seed": 1.5}`, "Seed", "want int64, got JSON number 1.5"},
+		{`{"independent": 3}`, "Independent", "want bool, got JSON number"},
+		{`{"scenario": {"version": "1"}}`, "Scenario", `"scenario.version": want int`},
+		// A malformed duration carries no key.
+		{`{"warmup": true}`, "Config", "duration true"},
 	} {
 		var cfg Config
 		err := json.Unmarshal([]byte(tc.doc), &cfg)
 		var fe *ConfigFieldError
 		if !errors.As(err, &fe) {
-			t.Fatalf("%s: unknown field error = %v (%T), want *ConfigFieldError", tc.doc, err, err)
+			t.Fatalf("%s: error = %v (%T), want *ConfigFieldError", tc.doc, err, err)
 		}
-		if !strings.Contains(fe.Error(), tc.field) {
-			t.Errorf("error %q does not name the unknown field %q", fe, tc.field)
+		if fe.Field != tc.field || !strings.Contains(fe.Reason, tc.reason) {
+			t.Errorf("%s: error %q, want field %s and a reason containing %q", tc.doc, fe, tc.field, tc.reason)
 		}
 	}
 
