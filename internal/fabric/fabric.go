@@ -45,14 +45,6 @@ type Config struct {
 	// is the serial engine. Results are byte-identical across shard
 	// counts for the same seed; Shards is capped at the switch count.
 	Shards int
-
-	// CostBusyTime, when true, augments the adaptive routing cost with
-	// the byte-equivalent of each candidate channel's remaining busy or
-	// reactivation time — the richer congestion signal §3.2 notes that
-	// credit-based flow control and channel state can provide. With the
-	// default (false), route choice uses output queue depth alone, the
-	// paper's evaluation configuration.
-	CostBusyTime bool
 }
 
 // DefaultConfig returns parameters representative of the paper's
@@ -349,7 +341,6 @@ type Network struct {
 	nextPktID     int64
 	nextMsgID     int64
 	injectedPkts  int64
-	injectedMsgs  int64
 	injectedBytes int64
 
 	// Fault accounting. faultsEnabled gates every fault check on the
@@ -597,7 +588,6 @@ func (n *Network) InjectMessage(src, dst, size int) {
 	now := n.E.Now()
 	h := n.Hosts[src]
 	n.nextMsgID++
-	n.injectedMsgs++
 	if n.Tracer != nil {
 		n.Tracer.Instant("inject", "traffic", telemetry.PIDPackets, src, now,
 			fmt.Sprintf(`"msg":%d,"dst":%d,"bytes":%d`, n.nextMsgID, dst, size))
@@ -608,10 +598,8 @@ func (n *Network) InjectMessage(src, dst, size int) {
 		drt := n.Hosts[dst].rt
 		if drt.msgRemaining == nil {
 			drt.msgRemaining = make(map[int64]int)
-			drt.msgInject = make(map[int64]sim.Time)
 		}
 		drt.msgRemaining[n.nextMsgID] = n.PacketsPerMessage(size)
-		drt.msgInject[n.nextMsgID] = now
 	}
 	for off := 0; off < size; off += n.Cfg.MaxPacket {
 		sz := n.Cfg.MaxPacket
@@ -764,9 +752,6 @@ func (n *Network) EnableFaults() {
 	}
 }
 
-// FaultsEnabled reports whether EnableFaults has been called.
-func (n *Network) FaultsEnabled() bool { return n.faultsEnabled }
-
 // FailChan hard-fails one directed channel: the link powers off with no
 // drain, and any packet in flight across it is dropped on arrival.
 // Requires EnableFaults. The caller is responsible for masking the
@@ -845,7 +830,6 @@ func (n *Network) dropPacket(rt *shardRT, p *Packet, now sim.Time, why string) {
 		drt := n.Hosts[p.Dst].rt
 		if drt == rt {
 			delete(drt.msgRemaining, p.MsgID)
-			delete(drt.msgInject, p.MsgID)
 		} else {
 			rt.msgDead[drt.id] = append(rt.msgDead[drt.id], p.MsgID)
 		}
@@ -877,9 +861,6 @@ func (n *Network) UnattributedDrops() int64 {
 	}
 	return total
 }
-
-// InjectedMessages returns the number of messages offered.
-func (n *Network) InjectedMessages() int64 { return n.injectedMsgs }
 
 // PacketsPerMessage returns how many packets message size bytes
 // segments into under the current configuration.

@@ -449,52 +449,3 @@ func TestHopCountsMinimal(t *testing.T) {
 	}
 	e.Run()
 }
-
-// TestCostBusyTimeAvoidsReconfiguring: with the richer §3.2 cost, the
-// first packet after a reconfiguration starts avoids the unavailable
-// channel even though its queue is empty; with queue-depth-only cost it
-// cannot tell.
-func TestCostBusyTimeAvoidsReconfiguring(t *testing.T) {
-	build := func(busyCost bool) (*sim.Engine, *Network, *topo.FBFLY) {
-		e := sim.New()
-		f := topo.MustFBFLY(4, 3, 2)
-		cfg := DefaultConfig()
-		cfg.CostBusyTime = busyCost
-		n, err := New(e, f, routing.NewFBFLY(f), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, n, f
-	}
-	run := func(busyCost bool) int64 {
-		e, n, f := build(busyCost)
-		// Destination differs in both dimensions from switch 0: two
-		// first-hop candidates. Put one into a long reactivation.
-		dst := 5 * f.C
-		sw0 := n.Switches[0]
-		var reconfPort int
-		for p := f.C; p < f.Radix(); p++ {
-			if ch := sw0.out[p]; ch != nil && f.PortDim(p) == 0 {
-				if peer, _ := f.Peer(0, p); peer.ID == 1 {
-					reconfPort = p
-					ch.L.SetRate(0, link.Rate2_5G, 50*sim.Microsecond)
-					break
-				}
-			}
-		}
-		for i := 0; i < 10; i++ {
-			n.InjectMessage(0, dst, 2048)
-		}
-		e.Run()
-		return sw0.out[reconfPort].L.TotalPackets()
-	}
-	through := run(false)
-	avoided := run(true)
-	if avoided >= through {
-		t.Errorf("busy-time cost sent %d packets into the reconfiguring link, plain cost %d",
-			avoided, through)
-	}
-	if avoided != 0 {
-		t.Errorf("busy-time cost should fully avoid the 50us reactivation, sent %d", avoided)
-	}
-}

@@ -127,7 +127,6 @@ type shardRT struct {
 	// message can never complete, so the entry is dead weight either
 	// way); applied at the next barrier.
 	msgRemaining map[int64]int
-	msgInject    map[int64]sim.Time
 	msgDead      [][]int64
 
 	win  windowReq // the window assigned this round
@@ -551,7 +550,6 @@ func (g *ShardGroup) drainStages() {
 			dst := g.rts[d]
 			for _, id := range ids {
 				delete(dst.msgRemaining, id)
-				delete(dst.msgInject, id)
 			}
 			src.msgDead[d] = ids[:0]
 		}
@@ -721,9 +719,6 @@ func (n *Network) SetProfiler(p *telemetry.EngineProfiler) {
 		p.SetPartition(cross, total, int64(lo), int64(hi))
 	}
 }
-
-// Profiler returns the attached engine self-profiler, or nil.
-func (n *Network) Profiler() *telemetry.EngineProfiler { return n.prof }
 
 // SetFlowCollector attaches (or with nil, detaches) a flow-trace
 // collector: from then on injected packets are hash-sampled and carry

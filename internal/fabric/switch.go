@@ -153,16 +153,6 @@ func (s *Switch) choosePort(pkt *Packet, now sim.Time) int {
 			continue
 		}
 		cost := s.queuedBytes[p]
-		if s.net.Cfg.CostBusyTime {
-			// Add the byte-equivalent of time until the channel can
-			// accept a new packet (in-flight tail, CDR re-lock, lane
-			// retraining) at its current rate.
-			if at, on := ch.L.AvailableAt(now); on && at > now {
-				waitNs := int64((at - now) / sim.Nanosecond)
-				bytesPerSec := int64(ch.L.Rate()) / 8
-				cost += bytesPerSec * waitNs / 1_000_000_000
-			}
-		}
 		if s.closing[p] {
 			cost += closingPenalty
 		}
@@ -368,10 +358,9 @@ func (h *Host) deliver(pkt *Packet, now sim.Time) {
 		if rem, ok := h.rt.msgRemaining[pkt.MsgID]; ok {
 			rem--
 			if rem == 0 {
-				h.net.OnMessageDone(pkt.MsgID, pkt.Src, pkt.Dst,
-					h.rt.msgInject[pkt.MsgID], now)
+				// Every packet of a message carries its injection time.
+				h.net.OnMessageDone(pkt.MsgID, pkt.Src, pkt.Dst, pkt.Inject, now)
 				delete(h.rt.msgRemaining, pkt.MsgID)
-				delete(h.rt.msgInject, pkt.MsgID)
 			} else {
 				h.rt.msgRemaining[pkt.MsgID] = rem
 			}

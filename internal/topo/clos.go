@@ -127,7 +127,3 @@ func (f FBFLYPartCount) RequiredPorts() int { return f.Radix() }
 func (f FBFLYPartCount) OverSubscription() float64 {
 	return float64(f.C) / float64(f.K)
 }
-
-// Float64sClose reports whether two floats agree within tol; exported for
-// table-driven comparisons in tools and tests.
-func Float64sClose(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
