@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet golden-harness paper-scale fuzz-smoke bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
+.PHONY: all build test race vet loc golden-harness paper-scale fuzz-smoke bench bench-json bench-compare fmt fmt-check experiments smoke-faults smoke-scenarios smoke-flows smoke-scale observe-demo profile-demo
 
 all: build test
 
@@ -19,6 +19,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines (wc -l): the root package, then the module outside
+# bench/, which is a module of its own. These are the counts ROADMAP.md
+# and CHANGES.md quote.
+loc:
+	@echo "root   $$(cat $$(ls *.go | grep -v '_test\.go$$') | wc -l)"
+	@echo "module $$(find . -path ./bench -prune -o -path ./.bench_build -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 
 # The default experiment harness must reproduce its reference capture
 # byte for byte: stdout only, since the timing lines go to stderr.

@@ -20,8 +20,7 @@ type Duration = scenario.Duration
 // wireType is Config's JSON form, derived from Config itself: the same
 // fields in the same order under their json tags, except that each
 // time.Duration is carried as Duration so that it reads and writes as
-// "250us". Key order is Config's field order. Inspector's "-" tag keeps
-// it off the wire.
+// "250us". Inspector's "-" tag keeps it off the wire.
 var wireType = func() reflect.Type {
 	t := reflect.TypeOf(Config{})
 	fields := make([]reflect.StructField, t.NumField())
