@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"epnet/internal/link"
@@ -122,6 +123,38 @@ func TestMessageSegmentation(t *testing.T) {
 	}
 	if n.InFlightPackets() != 0 {
 		t.Errorf("in flight = %d", n.InFlightPackets())
+	}
+}
+
+// TestQueuedMessagesHoldNoPackets offers 101 messages of 256 packets
+// each to one host at one instant: the queue holds them whole, so the
+// offers allocate no packets, and draining the network delivers every
+// packet under the ID reserved for it at injection.
+func TestQueuedMessagesHoldNoPackets(t *testing.T) {
+	const size, perMsg = 512 << 10, 256
+	e, n := newTestNet(t)
+	done := 0
+	n.OnMessageDone = func(int64, int, int, sim.Time, sim.Time) { done++ }
+	ids := make(map[int64][]int64)
+	n.OnDeliver = func(p *Packet, _ sim.Time) { ids[p.MsgID] = append(ids[p.MsgID], p.ID) }
+	if allocs := testing.AllocsPerRun(100, func() { n.InjectMessage(0, 9, size) }); allocs >= 1 {
+		t.Errorf("InjectMessage allocates %.2f times per message, want < 1", allocs)
+	}
+	e.Run()
+	if done != 101 || len(ids) != 101 {
+		t.Fatalf("%d messages done, %d delivered, want 101", done, len(ids))
+	}
+	for msg, got := range ids {
+		slices.Sort(got)
+		first := (msg-1)*perMsg + 1
+		if len(got) != perMsg || got[0] != first || got[perMsg-1] != first+perMsg-1 ||
+			len(slices.Compact(got)) != perMsg {
+			t.Fatalf("message %d delivered IDs %d..%d (%d), want %d..%d",
+				msg, got[0], got[len(got)-1], len(got), first, first+perMsg-1)
+		}
+	}
+	if n.InFlightPackets() != 0 || n.HostBacklogBytes() != 0 {
+		t.Errorf("in flight %d, backlog %d B after drain", n.InFlightPackets(), n.HostBacklogBytes())
 	}
 }
 
@@ -316,9 +349,10 @@ func TestInjectValidation(t *testing.T) {
 	}
 }
 
-// TestPktQueue exercises the FIFO including its compaction path.
-func TestPktQueue(t *testing.T) {
-	var q pktQueue
+// TestFIFO exercises the FIFO including its compaction path and its
+// return to the front of its array once empty.
+func TestFIFO(t *testing.T) {
+	var q fifo[*Packet]
 	if !q.empty() || q.len() != 0 {
 		t.Fatal("new queue not empty")
 	}
@@ -333,12 +367,15 @@ func TestPktQueue(t *testing.T) {
 	if q.len() != 100 {
 		t.Fatalf("len = %d", q.len())
 	}
-	if q.peek().ID != 400 {
-		t.Fatalf("peek = %d", q.peek().ID)
+	if got := *q.peek(); got.ID != 400 {
+		t.Fatalf("peek = %d", got.ID)
 	}
 	rest := q.drain()
 	if len(rest) != 100 || rest[0].ID != 400 || rest[99].ID != 499 {
 		t.Fatalf("drain wrong: %d items", len(rest))
+	}
+	if q.head != 0 || len(q.items) != 0 {
+		t.Fatalf("emptied queue at head %d of %d items, want the front", q.head, len(q.items))
 	}
 }
 

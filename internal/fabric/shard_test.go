@@ -283,3 +283,55 @@ func TestShardCountClamped(t *testing.T) {
 		t.Fatalf("NumShards = %d, want 2", n.NumShards())
 	}
 }
+
+// TestShardPacketsReturnHome sends every round from one shard's hosts
+// to the other's: packets are cut on shard 0 and freed on shard 1, and
+// the barrier must send them home, or shard 0 would allocate every
+// packet afresh and shard 1's free list would grow by a round each time.
+func TestShardPacketsReturnHome(t *testing.T) {
+	const rounds, size = 50, 32 << 10
+	e := sim.New()
+	f := topo.MustFBFLY(16, 2, 8)
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	n, err := New(e, f, routing.NewFBFLY(f), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var src, dst []int
+	for h := 0; h < n.NumHosts(); h++ {
+		if n.HostShard(h) == 0 {
+			src = append(src, h)
+		} else {
+			dst = append(dst, h)
+		}
+	}
+	if len(src) != 64 || len(dst) != 64 {
+		t.Fatalf("partition put %d hosts on shard 0 and %d on shard 1, want 64 each", len(src), len(dst))
+	}
+	var horizon sim.Time
+	for r := 0; r < rounds; r++ {
+		for i, h := range src {
+			n.InjectMessage(h, dst[i], size)
+		}
+		horizon += sim.Millisecond
+		n.RunUntil(horizon)
+	}
+	inj, _ := n.Injected()
+	del, _ := n.Delivered()
+	if inj != del || inj != int64(rounds*len(src)*n.PacketsPerMessage(size)) {
+		t.Fatalf("injected %d, delivered %d packets", inj, del)
+	}
+	free, round := 0, len(src)*n.PacketsPerMessage(size)
+	for _, rt := range n.rts {
+		free += len(rt.pktFree)
+		for _, home := range rt.pktHome {
+			free += len(home)
+		}
+	}
+	if free > round {
+		t.Errorf("free lists hold %d packets after %d rounds, want at most one round's %d",
+			free, rounds, round)
+	}
+}

@@ -30,7 +30,7 @@ type Switch struct {
 	rng  rng64
 
 	out         []*Chan // per-port output channel (nil on unused ports)
-	queues      []pktQueue
+	queues      []fifo[*Packet]
 	queuedBytes []int64
 	closing     []bool // dynamic topology: port drains, takes no new packets
 
@@ -199,7 +199,7 @@ func (s *Switch) pumpOut(port int, now sim.Time) {
 		if ch == nil {
 			panic(fmt.Sprintf("fabric: sw%d pump on unwired port %d", s.id, port))
 		}
-		pkt := q.peek()
+		pkt := *q.peek()
 		// Flow tracing: attribute the head packet's time since the last
 		// visit to whatever blocked it then, and mark why it stalls now.
 		// Pure writes to the packet's own log — never a branch in the
@@ -274,6 +274,10 @@ func (s *Switch) rerouteQueue(port int, now sim.Time) {
 // Host is a server NIC: an injection queue feeding the host's uplink
 // channel, and the sink side that records deliveries. Hosts are value
 // entries in Network.hostArr, filled in place by Network.New.
+//
+// The queue holds whole messages. pump cuts the next packet from the
+// head message only when the previous one has been sent, so a host
+// holds at most one packet (head) however much it has queued.
 type Host struct {
 	net *Network
 	id  int
@@ -285,8 +289,14 @@ type Host struct {
 	lane sim.Lane
 
 	out          *Chan
-	q            pktQueue
+	msgs         fifo[message]
+	head         *Packet // cut from msgs' head, not yet sent
 	backlogBytes int64
+
+	// traces holds the hop logs started at injection for this host's
+	// sampled packets, in packet ID order; each is attached when its
+	// packet is cut.
+	traces fifo[*telemetry.PacketTrace]
 
 	wakeAt      sim.Time
 	wakePending bool
@@ -307,10 +317,31 @@ func (h *Host) scheduleWake(at sim.Time) {
 	h.eng.AtArgLane(at, &h.lane, h.net.fnHostWake, h, 0)
 }
 
+// cut takes the next packet from the head message, with the ID reserved
+// for it at injection, and pops the message once it is used up.
+func (h *Host) cut() *Packet {
+	m := h.msgs.peek()
+	size := min(h.net.Cfg.MaxPacket, m.size-m.off)
+	p := h.rt.allocPacket()
+	*p = Packet{ID: m.firstPkt + int64(m.off/h.net.Cfg.MaxPacket), MsgID: m.id,
+		Src: h.id, Dst: m.dst, Size: size, Inject: m.inject}
+	if !h.traces.empty() && (*h.traces.peek()).ID == p.ID {
+		p.trace = h.traces.pop()
+	}
+	m.off += size
+	if m.off == m.size {
+		h.msgs.pop()
+	}
+	return p
+}
+
 // pump injects queued packets while the uplink and credits allow.
 func (h *Host) pump(now sim.Time) {
-	for !h.q.empty() {
-		pkt := h.q.peek()
+	for h.head != nil || !h.msgs.empty() {
+		if h.head == nil {
+			h.head = h.cut()
+		}
+		pkt := h.head
 		tr := pkt.trace
 		if tr != nil {
 			tr.Account(now)
@@ -332,7 +363,7 @@ func (h *Host) pump(now sim.Time) {
 			}
 			return
 		}
-		h.q.pop()
+		h.head = nil
 		h.backlogBytes -= int64(pkt.Size)
 		done := h.out.L.StartTransmit(now, pkt.Size)
 		h.net.deliverAcross(h.out, pkt, now, done)
