@@ -68,13 +68,15 @@ fuzz-smoke:
 
 # Hot-path microbenchmarks: event engine scheduling and fabric
 # packet throughput (ns/op, allocs/op), plus the figure regenerators.
+# -run '^$' keeps the unit tests and fuzz seeds out of the benchmark
+# process, here and in bench-json and bench-compare.
 bench:
-	$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/fabric/
 
 # Machine-readable benchmark results (JSON Lines on stdout), for
 # regression tracking: make bench-json > bench.jsonl
 bench-json:
-	@$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ | $(GO) run ./cmd/benchjson
+	@$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ | $(GO) run ./cmd/benchjson
 
 # Diff current benchmark times against the checked-in baseline
 # (BENCH_seed.json, regenerate with: make bench-json > BENCH_seed.json).
@@ -84,7 +86,7 @@ bench-json:
 # fails, since cross-machine benchmark noise makes a hard gate
 # counterproductive — read the report.
 bench-compare:
-	@$(GO) test -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ | $(GO) run ./cmd/benchjson -compare BENCH_seed.json
+	@$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/fabric/ ./internal/telemetry/ | $(GO) run ./cmd/benchjson -compare BENCH_seed.json
 
 fmt:
 	gofmt -l -w .

@@ -13,46 +13,52 @@ import (
 )
 
 // BenchmarkNetworkThroughput measures raw simulated-packet throughput
-// on an 8-ary 2-flat under uniform random single-packet messages. One
-// benchmark op is a steady-state unit — inject a batch of messages and
+// on an 8-ary 2-flat under uniform random messages. One benchmark op is
+// a steady-state unit — inject 1,024 packets' worth of messages and
 // fully drain the network — so injection, routing, transmission and
-// delivery are all inside the timed region in a fixed proportion.
-// With MaxPacket 2048 each message is exactly one packet, so allocs/op
-// divided by the batch size is allocations per packet.
+// delivery are all inside the timed region in a fixed proportion, and
+// allocs/op divided by 1,024 is allocations per packet. msg=2KiB offers
+// one-packet messages; msg=64KiB offers 32 messages of 32 packets, each
+// cut into packets at the head of its host's queue.
 func BenchmarkNetworkThroughput(b *testing.B) {
-	const batch = 1024
-	e := sim.New()
-	f := topo.MustFBFLY(8, 2, 8)
-	n, err := New(e, f, routing.NewFBFLY(f), DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	inject := func() {
-		for j := 0; j < batch; j++ {
-			src := rng.Intn(64)
-			dst := rng.Intn(64)
-			if dst == src {
-				dst = (dst + 1) % 64
+	const batch = 1024 // packets per op
+	for _, size := range []int{2 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("msg=%dKiB", size>>10), func(b *testing.B) {
+			e := sim.New()
+			f := topo.MustFBFLY(8, 2, 8)
+			n, err := New(e, f, routing.NewFBFLY(f), DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
 			}
-			n.InjectMessage(src, dst, 2048)
-		}
-		e.Run()
+			msgs := batch / n.PacketsPerMessage(size)
+			rng := rand.New(rand.NewSource(1))
+			inject := func() {
+				for j := 0; j < msgs; j++ {
+					src := rng.Intn(64)
+					dst := rng.Intn(64)
+					if dst == src {
+						dst = (dst + 1) % 64
+					}
+					n.InjectMessage(src, dst, size)
+				}
+				e.Run()
+			}
+			inject() // reach steady state (warm free lists and queues) untimed
+			b.SetBytes(int64(msgs * size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inject()
+			}
+			b.StopTimer()
+			inj, _ := n.Injected()
+			del, _ := n.Delivered()
+			if inj != del {
+				b.Fatalf("lost packets: %d != %d", inj, del)
+			}
+			b.ReportMetric(float64(del-batch)/b.Elapsed().Seconds(), "pkts/sec")
+		})
 	}
-	inject() // reach steady state (warm free lists and queues) untimed
-	b.SetBytes(batch * 2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inject()
-	}
-	b.StopTimer()
-	inj, _ := n.Injected()
-	del, _ := n.Delivered()
-	if inj != del {
-		b.Fatalf("lost packets: %d != %d", inj, del)
-	}
-	b.ReportMetric(float64(del-batch)/b.Elapsed().Seconds(), "pkts/sec")
 }
 
 // BenchmarkNetworkThroughputFlowTrace is the differential half of the
