@@ -33,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"epnet/internal/fabric"
 	"epnet/internal/fault"
 )
 
@@ -491,6 +492,9 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxPacket < 64 {
 		return fieldErr("MaxPacket", "%d below the 64-byte minimum", c.MaxPacket)
+	}
+	if buf := fabric.DefaultConfig().InputBufBytes; c.MaxPacket > buf {
+		return fieldErr("MaxPacket", "%d above the %d-byte input buffer", c.MaxPacket, buf)
 	}
 	if c.ProfileOut != "" {
 		c.Profile = true

@@ -50,6 +50,7 @@ func TestConfigErrorsCarryFieldNames(t *testing.T) {
 		{"Duration", func(c *Config) { c.Duration = 0 }, nil},
 		{"Warmup", func(c *Config) { c.Warmup = -1 }, nil},
 		{"MaxPacket", func(c *Config) { c.MaxPacket = 32 }, nil},
+		{"MaxPacket", func(c *Config) { c.MaxPacket = 100000 }, nil}, // past the 64 KiB input buffer
 		// Durations past the picosecond clock (about 2,562 h) would wrap
 		// in simTime and run nothing.
 		{"Duration", func(c *Config) { c.Duration = 3000 * time.Hour }, nil},

@@ -466,7 +466,7 @@ func TestDynTopoMeshMode(t *testing.T) {
 	// must walk all 7 line hops.
 	delivered := 0
 	var hops int
-	n.OnDeliver = func(p *fabric.Packet, _ sim.Time) { delivered++; hops = p.Hops }
+	n.OnDeliver = func(p *fabric.Packet, _ sim.Time) { delivered++; hops = int(p.Hops) }
 	n.InjectMessage(0, 7*8, 2048)
 	e.RunUntil(400 * sim.Microsecond)
 	if delivered != 1 {

@@ -192,7 +192,7 @@ func BenchmarkChoosePort(b *testing.B) {
 		b.Fatal(err)
 	}
 	sw := n.Switches[0]
-	pkt := &Packet{Dst: f.NumHosts() - 1, Size: 2048}
+	pkt := &Packet{Dst: int32(f.NumHosts() - 1), Size: 2048}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw.choosePort(pkt, 0)

@@ -72,6 +72,9 @@ func (c *Config) validate() error {
 	if c.MaxPacket <= 0 {
 		return fmt.Errorf("fabric: MaxPacket must be positive, got %d", c.MaxPacket)
 	}
+	if c.MaxPacket > math.MaxInt32 {
+		return fmt.Errorf("fabric: MaxPacket %d does not fit a packet's 32-bit size", c.MaxPacket)
+	}
 	if c.InputBufBytes < c.MaxPacket {
 		return fmt.Errorf("fabric: input buffer (%d) smaller than a packet (%d)",
 			c.InputBufBytes, c.MaxPacket)
@@ -227,7 +230,7 @@ func (c *Chan) armWake() {
 // covers it with them. When even the settled pool is short the sender
 // blocks: it is marked waiting, and its wake is queued at the first
 // credit still returning, or by the next credit to return.
-func (c *Chan) takeCredits(n int) bool {
+func (c *Chan) takeCredits(n int32) bool {
 	if c.credits < int64(n) {
 		c.settle()
 		if c.credits < int64(n) {
@@ -669,7 +672,7 @@ func (n *Network) deliverAcross(c *Chan, pkt *Packet, start, done sim.Time) {
 	headIn := start + n.Cfg.WireDelay
 	tailIn := done + n.Cfg.WireDelay
 	pkt.TailIn = tailIn
-	pkt.ch = c
+	pkt.ch = int32(c.idx)
 	// The fault epoch lives in the cold array; without faults enabled it
 	// is identically zero, so the fault-free path skips the read.
 	pkt.chEpoch = 0
@@ -683,7 +686,7 @@ func (n *Network) deliverAcross(c *Chan, pkt *Packet, start, done sim.Time) {
 		// hands the head to the next switch after wire + routing delay.
 		pkt.trace.Transmit(int32(c.idx), start, done,
 			n.Cfg.WireDelay, n.Cfg.RoutingDelay, c.Dst.Kind == topo.KindHost)
-		n.flow.RecordTransmit(c.srcRT.id, start, pkt.ID, int32(c.idx), int32(pkt.Size))
+		n.flow.RecordTransmit(c.srcRT.id, start, pkt.ID, int32(c.idx), pkt.Size)
 	}
 	at, fn := tailIn, n.fnDeliver
 	if c.Dst.Kind == topo.KindSwitch {
@@ -702,8 +705,8 @@ func (n *Network) deliverAcross(c *Chan, pkt *Packet, start, done sim.Time) {
 func (n *Network) deliverEvent(now sim.Time, arg any, _ int64) {
 	p := arg.(*Packet)
 	if n.faultsEnabled {
-		if cold := &n.chanCold[p.ch.idx]; cold.failed || cold.failEpoch != p.chEpoch {
-			n.dropPacket(p.ch.dstRT, p, now, "in-flight on failed channel")
+		if cold := &n.chanCold[p.ch]; cold.failed || cold.failEpoch != p.chEpoch {
+			n.dropPacket(n.chanArr[p.ch].dstRT, p, now, "in-flight on failed channel")
 			return
 		}
 	}
@@ -717,7 +720,7 @@ func (n *Network) deliverEvent(now sim.Time, arg any, _ int64) {
 // onward (overwriting p.ch) or, at the final hop, recycle it.
 func (n *Network) arriveEvent(now sim.Time, arg any, _ int64) {
 	p := arg.(*Packet)
-	ch := p.ch
+	ch := &n.chanArr[p.ch]
 	// Return the credit even for packets about to be dropped: the
 	// upstream pool mirrors the input buffer, which the dead arrival no
 	// longer occupies. This keeps every switch-bound pool exactly full
@@ -815,8 +818,8 @@ func (n *Network) SwitchDead(sw int) bool {
 func (n *Network) dropPacket(rt *shardRT, p *Packet, now sim.Time, why string) {
 	rt.droppedPkts++
 	rt.droppedBytes += int64(p.Size)
-	if p.ch != nil {
-		n.chanCold[p.ch.idx].drops++
+	if p.ch != noChan {
+		n.chanCold[p.ch].drops++
 	} else {
 		rt.unattributedDrops++
 	}

@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"epnet/internal/link"
@@ -37,6 +39,14 @@ func TestConfigValidation(t *testing.T) {
 	bad.InputBufBytes = 10
 	if _, err := New(e, f, r, bad); err == nil {
 		t.Error("buffer smaller than packet accepted")
+	}
+	// Packet.Size is 32-bit, so a larger segment is rejected even when
+	// the buffer would hold it.
+	bad = DefaultConfig()
+	big := int64(math.MaxInt32) + 1
+	bad.MaxPacket, bad.InputBufBytes = int(big), int(big)
+	if _, err := New(e, f, r, bad); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Errorf("MaxPacket past 32 bits: err = %v, want the 32-bit size rejected", err)
 	}
 	bad = DefaultConfig()
 	bad.WireDelay = -1
@@ -82,7 +92,7 @@ func TestSinglePacketLatency(t *testing.T) {
 	var hops int
 	n.OnDeliver = func(p *Packet, now sim.Time) {
 		got = now - p.Inject
-		hops = p.Hops
+		hops = int(p.Hops)
 	}
 	// Host 0 (sw0) to host 8 (sw1): one inter-switch hop.
 	n.InjectMessage(0, 8, 1000)
@@ -349,36 +359,6 @@ func TestInjectValidation(t *testing.T) {
 	}
 }
 
-// TestFIFO exercises the FIFO including its compaction path and its
-// return to the front of its array once empty.
-func TestFIFO(t *testing.T) {
-	var q fifo[*Packet]
-	if !q.empty() || q.len() != 0 {
-		t.Fatal("new queue not empty")
-	}
-	for i := 0; i < 500; i++ {
-		q.push(&Packet{ID: int64(i)})
-	}
-	for i := 0; i < 400; i++ {
-		if got := q.pop(); got.ID != int64(i) {
-			t.Fatalf("pop %d = %d", i, got.ID)
-		}
-	}
-	if q.len() != 100 {
-		t.Fatalf("len = %d", q.len())
-	}
-	if got := *q.peek(); got.ID != 400 {
-		t.Fatalf("peek = %d", got.ID)
-	}
-	rest := q.drain()
-	if len(rest) != 100 || rest[0].ID != 400 || rest[99].ID != 499 {
-		t.Fatalf("drain wrong: %d items", len(rest))
-	}
-	if q.head != 0 || len(q.items) != 0 {
-		t.Fatalf("emptied queue at head %d of %d items, want the front", q.head, len(q.items))
-	}
-}
-
 // TestDeterminism runs the same random workload twice and requires
 // byte-identical outcomes (same seeds everywhere).
 func TestDeterminism(t *testing.T) {
@@ -471,8 +451,8 @@ func TestHopCountsMinimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.OnDeliver = func(p *Packet, _ sim.Time) {
-		want := f.MinimalHops(p.Src, p.Dst) + 1 // +1 for the egress switch hop
-		if p.Hops != want {
+		want := f.MinimalHops(int(p.Src), int(p.Dst)) + 1 // +1 for the egress switch hop
+		if int(p.Hops) != want {
 			t.Errorf("packet %d->%d took %d hops, want %d", p.Src, p.Dst, p.Hops, want)
 		}
 	}

@@ -1,0 +1,158 @@
+package fabric
+
+import (
+	"bytes"
+	"math/bits"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// TestFIFO checks the ring's FIFO order across wrap-around and across
+// growth while wrapped, drain on a wrapped ring, and that a queue that
+// stays short keeps a short array.
+func TestFIFO(t *testing.T) {
+	var q fifo[int]
+	if !q.empty() || q.len() != 0 {
+		t.Fatal("new queue not empty")
+	}
+	next, want := 0, 0 // next value to push, next value to pop
+	push := func(k int) {
+		for range k {
+			q.push(next)
+			next++
+		}
+	}
+	pop := func(k int) {
+		t.Helper()
+		for range k {
+			if got := *q.peek(); got != want {
+				t.Fatalf("peek = %d, want %d", got, want)
+			}
+			if got := q.pop(); got != want {
+				t.Fatalf("pop = %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+
+	// Fill four slots, then wrap: pop two and push two more, so the live
+	// items run from slot 2 round to slot 1.
+	push(4)
+	pop(2)
+	push(2)
+	if q.head != 2 || cap(q.items) != 4 || q.len() != 4 {
+		t.Fatalf("wrapped ring: head %d, %d of %d slots, want head 2, 4 of 4", q.head, q.len(), cap(q.items))
+	}
+	// A push to the full, wrapped ring grows it; order survives.
+	push(1)
+	if cap(q.items) != 8 || q.head != 0 {
+		t.Fatalf("grown ring: head %d of %d slots, want head 0 of 8", q.head, cap(q.items))
+	}
+	pop(3)
+	// Wrap the grown ring and drain it there.
+	push(5)
+	if q.head+uint32(q.len()) <= uint32(cap(q.items)) {
+		t.Fatalf("ring at head %d with %d of %d slots does not wrap", q.head, q.len(), cap(q.items))
+	}
+	rest := q.drain()
+	if wantRest := []int{5, 6, 7, 8, 9, 10, 11}; !slices.Equal(rest, wantRest) {
+		t.Fatalf("drain = %v, want %v", rest, wantRest)
+	}
+	want = next
+	if !q.empty() || q.len() != 0 {
+		t.Fatal("drained queue not empty")
+	}
+
+	// A queue whose depth stays within 1–3 keeps at most four slots,
+	// however long it runs.
+	var short fifo[int]
+	short.push(0)
+	in, out := 1, 0
+	for i := range 10000 {
+		if i%4 < 2 {
+			short.push(in)
+			in++
+		} else {
+			if got := short.pop(); got != out {
+				t.Fatalf("short queue pop = %d, want %d", got, out)
+			}
+			out++
+		}
+		if c := cap(short.items); c > 4 {
+			t.Fatalf("step %d: depth %d holds %d slots, want at most 4", i, short.len(), c)
+		}
+	}
+}
+
+// FuzzFIFO runs push, pop, peek and drain scripts against a plain slice
+// and checks, after every operation, the order, the length, that the
+// array is the peak depth rounded up to a power of two, and that no slot
+// outside the live range keeps a value.
+func FuzzFIFO(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 1, 2, 0, 3})
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 2, 1, 3, 0})
+	f.Add(bytes.Repeat([]byte{0, 0, 1}, 40))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var q fifo[int]
+		var model []int
+		next, peak := 1, 0 // values start at 1, so 0 marks a cleared slot
+		for i, op := range script {
+			switch op % 4 {
+			case 0:
+				q.push(next)
+				model = append(model, next)
+				next++
+				peak = max(peak, len(model))
+			case 1:
+				if len(model) == 0 {
+					continue
+				}
+				if got := q.pop(); got != model[0] {
+					t.Fatalf("op %d: pop = %d, want %d", i, got, model[0])
+				}
+				model = model[1:]
+			case 2:
+				if len(model) == 0 {
+					continue
+				}
+				if got := *q.peek(); got != model[0] {
+					t.Fatalf("op %d: peek = %d, want %d", i, got, model[0])
+				}
+			case 3:
+				if got := q.drain(); !slices.Equal(got, model) {
+					t.Fatalf("op %d: drain = %v, want %v", i, got, model)
+				}
+				model = model[:0]
+			}
+			if q.len() != len(model) || q.empty() != (len(model) == 0) {
+				t.Fatalf("op %d: len %d empty %v, want %d", i, q.len(), q.empty(), len(model))
+			}
+			wantCap := 0
+			if peak > 0 {
+				wantCap = 1 << bits.Len(uint(peak-1))
+			}
+			if len(q.items) != wantCap {
+				t.Fatalf("op %d: %d slots after peak depth %d, want %d", i, len(q.items), peak, wantCap)
+			}
+			for k := range q.items {
+				live := (uint32(k)-q.head)&uint32(len(q.items)-1) < q.n
+				if !live && q.items[k] != 0 {
+					t.Fatalf("op %d: slot %d outside the live range holds %d", i, k, q.items[k])
+				}
+			}
+		}
+	})
+}
+
+// TestHotLayout pins the sizes the packet path is built around: a
+// Packet fills one 64-byte cache line (and Go's 64-byte size class),
+// and a queue header is 32 bytes, so neither can grow unnoticed.
+func TestHotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 64 {
+		t.Errorf("Packet is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(fifo[*Packet]{}); got != 32 {
+		t.Errorf("fifo header is %d bytes, want 32", got)
+	}
+}

@@ -72,7 +72,7 @@ func (s *Switch) arrive(pkt *Packet, now sim.Time) {
 			s.net.dropPacket(s.rt, pkt, now, "arrived at crashed switch")
 			return
 		}
-		if dstSw, _ := s.net.T.HostAttachment(pkt.Dst); s.net.deadSwitch[dstSw] {
+		if dstSw, _ := s.net.T.HostAttachment(int(pkt.Dst)); s.net.deadSwitch[dstSw] {
 			s.net.dropPacket(s.rt, pkt, now, "destination switch crashed")
 			return
 		}
@@ -130,7 +130,7 @@ func (s *Switch) PeakQueueBytes() int64 { return s.peakQueue }
 // routing bug and panics. With faults enabled it is a reachable state
 // (every minimal port dead) and returns -1; the caller drops.
 func (s *Switch) choosePort(pkt *Packet, now sim.Time) int {
-	cands := s.net.R.Candidates(s.id, pkt.Dst, s.candBuf[:0])
+	cands := s.net.R.Candidates(s.id, int(pkt.Dst), s.candBuf[:0])
 	if len(cands) == 0 {
 		if s.net.faultsEnabled {
 			return -1
@@ -191,7 +191,9 @@ func (s *Switch) scheduleWake(port int, at sim.Time) {
 }
 
 // pumpOut transmits queued packets on a port while the channel and
-// credits allow; otherwise it arranges to be woken.
+// credits allow; otherwise it arranges to be woken. It asks the channel
+// before it reads the head packet, so an untraced pump that finds the
+// link busy touches no packet.
 func (s *Switch) pumpOut(port int, now sim.Time) {
 	q := &s.queues[port]
 	for !q.empty() {
@@ -199,14 +201,17 @@ func (s *Switch) pumpOut(port int, now sim.Time) {
 		if ch == nil {
 			panic(fmt.Sprintf("fabric: sw%d pump on unwired port %d", s.id, port))
 		}
-		pkt := *q.peek()
 		// Flow tracing: attribute the head packet's time since the last
 		// visit to whatever blocked it then, and mark why it stalls now.
 		// Pure writes to the packet's own log — never a branch in the
-		// simulation itself, so determinism is untouched.
-		tr := pkt.trace
-		if tr != nil {
-			tr.Account(now)
+		// simulation itself, so determinism is untouched. Only a run with
+		// a collector attached can hold a traced packet, so only such a
+		// run reads the head before the channel.
+		var tr *telemetry.PacketTrace
+		if s.net.flow != nil {
+			if tr = (*q.peek()).trace; tr != nil {
+				tr.Account(now)
+			}
 		}
 		avail, on := ch.L.AvailableAt(now)
 		if !on {
@@ -222,9 +227,10 @@ func (s *Switch) pumpOut(port int, now sim.Time) {
 			s.scheduleWake(port, avail)
 			return
 		}
+		pkt := *q.peek()
 		// Cut-through causality: retransmission may not finish before
 		// the tail has arrived here.
-		if t := pkt.TailIn - ch.L.Rate().TransmitTime(pkt.Size); t > now {
+		if t := pkt.TailIn - ch.L.Rate().TransmitTime(int(pkt.Size)); t > now {
 			if tr != nil {
 				tr.Block(telemetry.FlowCut)
 			}
@@ -239,7 +245,7 @@ func (s *Switch) pumpOut(port int, now sim.Time) {
 		}
 		q.pop()
 		s.queuedBytes[port] -= int64(pkt.Size)
-		done := ch.L.StartTransmit(now, pkt.Size)
+		done := ch.L.StartTransmit(now, int(pkt.Size))
 		s.net.deliverAcross(ch, pkt, now, done)
 	}
 }
@@ -324,7 +330,7 @@ func (h *Host) cut() *Packet {
 	size := min(h.net.Cfg.MaxPacket, m.size-m.off)
 	p := h.rt.allocPacket()
 	*p = Packet{ID: m.firstPkt + int64(m.off/h.net.Cfg.MaxPacket), MsgID: m.id,
-		Src: h.id, Dst: m.dst, Size: size, Inject: m.inject}
+		Src: int32(h.id), Dst: int32(m.dst), Size: int32(size), Inject: m.inject, ch: noChan}
 	if !h.traces.empty() && (*h.traces.peek()).ID == p.ID {
 		p.trace = h.traces.pop()
 	}
@@ -365,14 +371,14 @@ func (h *Host) pump(now sim.Time) {
 		}
 		h.head = nil
 		h.backlogBytes -= int64(pkt.Size)
-		done := h.out.L.StartTransmit(now, pkt.Size)
+		done := h.out.L.StartTransmit(now, int(pkt.Size))
 		h.net.deliverAcross(h.out, pkt, now, done)
 	}
 }
 
 // deliver sinks a packet at its destination.
 func (h *Host) deliver(pkt *Packet, now sim.Time) {
-	if pkt.Dst != h.id {
+	if int(pkt.Dst) != h.id {
 		panic(fmt.Sprintf("fabric: host %d received packet for %d", h.id, pkt.Dst))
 	}
 	h.rt.deliveredPkts++
@@ -390,7 +396,7 @@ func (h *Host) deliver(pkt *Packet, now sim.Time) {
 			rem--
 			if rem == 0 {
 				// Every packet of a message carries its injection time.
-				h.net.OnMessageDone(pkt.MsgID, pkt.Src, pkt.Dst, pkt.Inject, now)
+				h.net.OnMessageDone(pkt.MsgID, int(pkt.Src), int(pkt.Dst), pkt.Inject, now)
 				delete(h.rt.msgRemaining, pkt.MsgID)
 			} else {
 				h.rt.msgRemaining[pkt.MsgID] = rem

@@ -315,8 +315,12 @@ func (fc *FlowCollector) Sampled(id int64) bool {
 
 // StartTrace begins a hop log for a sampled packet injected on the
 // given shard at now, recycling finished logs through per-shard free
-// lists. Injection is control-plane only, so stealing a free trace from
-// another shard's list is safe (mirroring the fabric's packet lists).
+// lists. A log is freed on the shard that delivers or drops its packet,
+// so free logs collect on destination shards; when the injecting
+// shard's list is empty, StartTrace takes one from another shard's.
+// That is safe because injection is control-plane only, with every
+// shard quiescent. (The fabric's packet lists need no such stealing: a
+// freed packet goes back to the shard that cut it.)
 func (fc *FlowCollector) StartTrace(shard int, id, msgID int64, src, dst, size int, now sim.Time) *PacketTrace {
 	sh := &fc.shards[shard]
 	if len(sh.free) == 0 {

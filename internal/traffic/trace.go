@@ -233,8 +233,10 @@ func Stats(recs []Record, hosts int, lineRateBps float64, horizon sim.Time) Trac
 // BurstinessIndex measures multi-timescale burstiness of a trace: the
 // mean over several window sizes of the coefficient of variation of
 // per-window byte counts. Smooth (CBR-like) traffic scores near 0;
-// Poisson traffic scores low; heavy-tailed ON/OFF traffic scores well
-// above 1 across windows — the property the paper's traces exhibit.
+// Poisson traffic scores low; heavy-tailed sizes and gaps score well
+// above 1 at short windows. Averaging over windows, it cannot tell
+// short-range from long-range dependent traffic; the variance-time
+// slope across windows can (TestVarianceTimeHurst).
 func BurstinessIndex(recs []Record, horizon sim.Time, windows []sim.Time) float64 {
 	if len(recs) == 0 || horizon <= 0 || len(windows) == 0 {
 		return 0

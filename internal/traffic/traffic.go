@@ -43,8 +43,8 @@ type Workload interface {
 }
 
 // Pareto is a truncated Pareto distribution on [Min, Max] with shape
-// Alpha — the standard heavy-tail model for self-similar datacenter
-// traffic (bursty across many timescales).
+// Alpha, the standard heavy-tail model. TraceLike draws its sizes and
+// think times from it.
 type Pareto struct {
 	Alpha    float64
 	Min, Max float64
@@ -142,8 +142,11 @@ func (u *Uniform) Start(e *sim.Engine, tgt Target, horizon sim.Time) {
 // Pareto-sized transfer (the read-heavy direction). Independently, every
 // host occasionally ships a large file-system block to a random host
 // (replication / shuffle traffic). The paper's trace properties this
-// preserves: low average utilization, burstiness across timescales
-// (Pareto tails), randomized placement, and asymmetric channel usage.
+// preserves: low average utilization, sub-millisecond burstiness well
+// above Uniform's (Pareto tails), randomized placement, and asymmetric
+// channel usage. It is not self-similar: each exchange is one message,
+// so no heavy-tailed ON period carries long-range dependence, and the
+// aggregate's Hurst parameter is near 0.5 (TestVarianceTimeHurst).
 type TraceLike struct {
 	Label       string
 	Load        float64 // mean injection utilization target

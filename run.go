@@ -734,7 +734,7 @@ func (d *deliveries) deliver(p *fabric.Packet, now sim.Time) {
 	if p.Inject < d.warmup {
 		return
 	}
-	s := &d.shards[d.net.HostShard(p.Dst)]
+	s := &d.shards[d.net.HostShard(int(p.Dst))]
 	lat := now - p.Inject
 	s.pkt.Add(lat)
 	if s.phase != nil {

@@ -32,7 +32,7 @@ func TestDeliveryHookZeroAlloc(t *testing.T) {
 	hosts := r.t.NumHosts()
 	pkts := make([]fabric.Packet, 64)
 	for i := range pkts {
-		pkts[i] = fabric.Packet{ID: int64(i), Dst: i % hosts, Inject: sim.Time(i) * sim.Microsecond / 2}
+		pkts[i] = fabric.Packet{ID: int64(i), Dst: int32(i % hosts), Inject: sim.Time(i) * sim.Microsecond / 2}
 	}
 	deliver := func() {
 		for i := range pkts {
