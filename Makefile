@@ -51,10 +51,11 @@ paper-scale:
 # A few seconds of coverage-guided fuzzing per parser and per identity
 # contract: the fault-schedule parser, Config's JSON codec, the scenario
 # DSL, the binary trace reader, the lazy traffic RNG against math/rand,
-# the metric-value formatter against strconv, and the event engine's
-# (at, key) order against a sorted-slice oracle. The engine's inputs are
+# the metric-value formatter against strconv, the event engine's
+# (at, key) order against a sorted-slice oracle, and the fabric's queue
+# ring against a plain slice. The engine's and the ring's inputs are
 # operation scripts of a few KB, whose minimization would otherwise take
-# the default minute, so it gets one second. Crashers land in
+# the default minute, so they get one second. Crashers land in
 # testdata/fuzz.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/traffic/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendValue$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzFIFO$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fabric/
 
 # Hot-path microbenchmarks: event engine scheduling and fabric
 # packet throughput (ns/op, allocs/op), plus the figure regenerators.
