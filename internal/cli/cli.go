@@ -119,7 +119,7 @@ func (l *Loader) Bind(fs *flag.FlagSet, cmd string, base epnet.Config) {
 		func(c *epnet.Config, v time.Duration) { c.Duration = v })
 	p := fs.Int64("seed", base.Seed, "random seed")
 	l.apply["seed"] = func(c *epnet.Config) { c.Seed = *p }
-	num("shards", base.Shards, "parallel simulation shards (0 = auto: one per CPU; 1 = serial; results are byte-identical)",
+	num("shards", base.Shards, "parallel simulation shards (0 = auto: one per 4,096 hosts, at most one per CPU, so serial below 8,192 hosts; 1 = serial; results are byte-identical)",
 		func(c *epnet.Config, v int) { c.Shards = v })
 	boolean("dyntopo", base.DynTopo, "enable the dynamic topology controller",
 		func(c *epnet.Config, v bool) { c.DynTopo = v })

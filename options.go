@@ -61,8 +61,9 @@ func WithSeed(seed int64) Option {
 }
 
 // WithShards partitions the simulation across n windowed workers (see
-// Config.Shards): 0 = auto (one per CPU, capped by topology size),
-// 1 = serial. Results stay byte-identical to the serial run.
+// Config.Shards): 0 = auto (one per 4,096 hosts, at most one per CPU,
+// so serial below 8,192 hosts), 1 = serial. Results stay byte-identical
+// to the serial run.
 func WithShards(n int) Option {
 	return func(cfg *Config) { cfg.Shards = n }
 }
