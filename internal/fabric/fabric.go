@@ -600,12 +600,8 @@ func (n *Network) InjectMessage(src, dst, size int) {
 	pkts := n.PacketsPerMessage(size)
 	if n.OnMessageDone != nil {
 		// Completion is observed at the destination host, so the
-		// tracking entry lives on its shard.
-		drt := n.Hosts[dst].rt
-		if drt.msgRemaining == nil {
-			drt.msgRemaining = make(map[int64]int)
-		}
-		drt.msgRemaining[n.nextMsgID] = pkts
+		// count lives on its shard.
+		n.Hosts[dst].rt.msgRemaining.open(n.nextMsgID, pkts)
 	}
 	m := message{id: n.nextMsgID, firstPkt: n.nextPktID + 1, dst: dst, size: size, inject: now}
 	n.nextPktID += int64(pkts)
@@ -810,19 +806,17 @@ func (n *Network) SwitchDead(sw int) bool {
 }
 
 // dropPacket accounts for and recycles a packet lost to a fault, on the
-// shard whose event is executing (rt). The packet's message can never
-// complete, so its completion tracking is torn down — immediately when
-// the destination host shares the shard, at the next window barrier
-// otherwise (the entry is inert either way: with one packet lost, the
-// remaining-count can never reach zero).
+// shard whose event is executing (rt). Every drop happens at a switch
+// or on a channel, after the packet's first transmit, so the drop is
+// charged to the channel it last crossed (p.ch). The packet's message
+// can never complete, so its completion count is zeroed — immediately
+// when the destination host shares the shard, at the next window
+// barrier otherwise (the count is inert either way: with one packet
+// lost, it can never reach zero).
 func (n *Network) dropPacket(rt *shardRT, p *Packet, now sim.Time, why string) {
 	rt.droppedPkts++
 	rt.droppedBytes += int64(p.Size)
-	if p.ch != noChan {
-		n.chanCold[p.ch].drops++
-	} else {
-		rt.unattributedDrops++
-	}
+	n.chanCold[p.ch].drops++
 	if n.Tracer != nil {
 		n.Tracer.Instant("drop", "fault", telemetry.PIDFaults, 0, now,
 			fmt.Sprintf(`"pkt":%d,"src":%d,"dst":%d,"bytes":%d,"why":%q`,
@@ -831,7 +825,7 @@ func (n *Network) dropPacket(rt *shardRT, p *Packet, now sim.Time, why string) {
 	if n.OnMessageDone != nil {
 		drt := n.Hosts[p.Dst].rt
 		if drt == rt {
-			delete(drt.msgRemaining, p.MsgID)
+			drt.msgRemaining.lose(p.MsgID)
 		} else {
 			rt.msgDead[drt.id] = append(rt.msgDead[drt.id], p.MsgID)
 		}
@@ -851,17 +845,6 @@ func (n *Network) Dropped() (pkts, bytes int64) {
 		b += rt.droppedBytes
 	}
 	return p, b
-}
-
-// UnattributedDrops returns drops that carried no channel context;
-// the sum of Chan.Drops over all channels plus this equals the total
-// dropped packet count.
-func (n *Network) UnattributedDrops() int64 {
-	var total int64
-	for _, rt := range n.rts {
-		total += rt.unattributedDrops
-	}
-	return total
 }
 
 // PacketsPerMessage returns how many packets message size bytes

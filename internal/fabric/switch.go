@@ -230,7 +230,7 @@ func (s *Switch) pumpOut(port int, now sim.Time) {
 		pkt := *q.peek()
 		// Cut-through causality: retransmission may not finish before
 		// the tail has arrived here.
-		if t := pkt.TailIn - ch.L.Rate().TransmitTime(int(pkt.Size)); t > now {
+		if t := pkt.TailIn - ch.L.TransmitTime(int(pkt.Size)); t > now {
 			if tr != nil {
 				tr.Block(telemetry.FlowCut)
 			}
@@ -391,17 +391,9 @@ func (h *Host) deliver(pkt *Packet, now sim.Time) {
 	if h.net.OnDeliver != nil {
 		h.net.OnDeliver(pkt, now)
 	}
-	if h.net.OnMessageDone != nil {
-		if rem, ok := h.rt.msgRemaining[pkt.MsgID]; ok {
-			rem--
-			if rem == 0 {
-				// Every packet of a message carries its injection time.
-				h.net.OnMessageDone(pkt.MsgID, int(pkt.Src), int(pkt.Dst), pkt.Inject, now)
-				delete(h.rt.msgRemaining, pkt.MsgID)
-			} else {
-				h.rt.msgRemaining[pkt.MsgID] = rem
-			}
-		}
+	if h.net.OnMessageDone != nil && h.rt.msgRemaining.take(pkt.MsgID) {
+		// Every packet of a message carries its injection time.
+		h.net.OnMessageDone(pkt.MsgID, int(pkt.Src), int(pkt.Dst), pkt.Inject, now)
 	}
 	if pkt.trace != nil {
 		h.net.flow.FinishDeliver(h.rt.id, pkt.trace, now)

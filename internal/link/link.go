@@ -44,10 +44,18 @@ func (r Rate) TransmitTime(n int) sim.Time {
 	if r <= 0 {
 		panic(fmt.Sprintf("link: transmit at non-positive rate %d", r))
 	}
-	// bits * ps/s / (bits/s) = ps; compute carefully to avoid overflow:
-	// n*8 * 1e12 / r. n up to ~1e9 is safe in int64 after reordering.
-	bits := int64(n) * 8
-	return sim.Time(bits * (1_000_000_000_000 / int64(r/1000)) / 1000)
+	return transmitTime(n, r.kbitTime())
+}
+
+// kbitTime returns the serialization time of 1,000 bits at rate r, in
+// ps: 1e12 ps/s over r/1000 kbit/s.
+func (r Rate) kbitTime() sim.Time { return sim.Time(1_000_000_000_000 / int64(r/1000)) }
+
+// transmitTime scales kbitTime to n bytes: n*8 * 1e12 / r, reordered
+// as n*8 * kbitTime / 1000 to avoid overflow; n up to ~1e9 is safe in
+// int64.
+func transmitTime(n int, kbitTime sim.Time) sim.Time {
+	return sim.Time(int64(n) * 8 * int64(kbitTime) / 1000)
 }
 
 // RateLadder is the ordered set of rates a channel can operate at.
@@ -261,7 +269,10 @@ type Channel struct {
 
 	ladder RateLadder
 	rate   Rate
-	state  State
+	// kbitTime is rate.kbitTime(), refreshed with every write of rate,
+	// so a send costs no 64-bit division.
+	kbitTime sim.Time
+	state    State
 
 	// cap, when non-zero, pins the channel at or below this rate: a
 	// degraded lane keeps the SerDes from training its full mode
@@ -316,10 +327,13 @@ func (c *Channel) Init(ladder RateLadder) {
 	*c = Channel{
 		Name:   c.Name,
 		ladder: ladder,
-		rate:   ladder.Max(),
 		state:  Active,
 	}
+	c.setRate(ladder.Max())
 }
+
+// setRate writes the rate and its transmit factor together.
+func (c *Channel) setRate(r Rate) { c.rate, c.kbitTime = r, r.kbitTime() }
 
 // MustChannel is NewChannel that panics on error.
 func MustChannel(name string, ladder RateLadder) *Channel {
@@ -386,7 +400,7 @@ func (c *Channel) SetRate(now sim.Time, r Rate, reactivation sim.Time) {
 		return
 	}
 	c.account(now)
-	c.rate = r
+	c.setRate(r)
 	c.state = Reconfiguring
 	c.reconfigUntil = now + reactivation
 	if reactivation == 0 {
@@ -417,7 +431,7 @@ func (c *Channel) PowerOn(now sim.Time, r Rate, reactivation sim.Time) {
 	}
 	c.account(now)
 	c.state = Active
-	c.rate = c.ClampRate(r)
+	c.setRate(c.ClampRate(r))
 	if reactivation > 0 {
 		c.state = Reconfiguring
 		c.reconfigUntil = now + reactivation
@@ -490,6 +504,10 @@ func (c *Channel) ReconfigUntil(now sim.Time) sim.Time {
 	return 0
 }
 
+// TransmitTime returns the serialization time of n bytes at the
+// channel's current rate: Rate().TransmitTime(n) without the division.
+func (c *Channel) TransmitTime(n int) sim.Time { return transmitTime(n, c.kbitTime) }
+
 // StartTransmit begins transmitting n bytes at time start (which must be
 // >= the channel's available time) and returns the completion time.
 func (c *Channel) StartTransmit(start sim.Time, n int) sim.Time {
@@ -504,7 +522,7 @@ func (c *Channel) StartTransmit(start sim.Time, n int) sim.Time {
 		// Reactivation has completed (start >= reconfigUntil).
 		c.state = Active
 	}
-	done := start + c.rate.TransmitTime(n)
+	done := start + c.TransmitTime(n)
 	c.busyUntil = done
 	c.busyBase += c.curEnd - c.curStart
 	c.curStart, c.curEnd = start, done

@@ -51,6 +51,48 @@ func TestTransmitTimeScalesInversely(t *testing.T) {
 	}
 }
 
+// TestChannelTransmitTime checks the channel's stored transmit factor
+// against Rate.TransmitTime for sizes 1 to 65,536 bytes, after every
+// call that writes the rate: Init, SetRate, PowerOn and SetRateCap, on
+// every rung of the default ladder and of one reaching down to 1 Mb/s.
+func TestChannelTransmitTime(t *testing.T) {
+	ladders := []RateLadder{
+		DefaultLadder(),
+		{1_000_000, 3_000_000, 100_000_000, 1_000_000_007, 7 * Gbps, 100 * Gbps},
+	}
+	for _, l := range ladders {
+		c := MustChannel("c", l)
+		check := func(after string) {
+			t.Helper()
+			for n := 1; n <= 65536; n++ {
+				if got, want := c.TransmitTime(n), c.Rate().TransmitTime(n); got != want {
+					t.Fatalf("after %s at %v: TransmitTime(%d) = %v, want %v", after, c.Rate(), n, got, want)
+				}
+			}
+		}
+		check("Init")
+		now := sim.Time(0)
+		for _, r := range l {
+			// Each step below moves the rate unless r is the top rung.
+			now += sim.Microsecond
+			c.SetRate(now, r, 0)
+			check("SetRate")
+			c.PowerOff(now)
+			c.PowerOn(now, l.Max(), 0)
+			check("PowerOn")
+			c.SetRateCap(now, r, 0)
+			check("SetRateCap")
+			c.SetRateCap(now, 0, 0)
+			c.SetRate(now, l.Max(), 0)
+			c.PowerOff(now)
+			c.SetRateCap(now, r, 0)
+			c.PowerOn(now, l.Max(), 0)
+			check("PowerOn under a cap")
+			c.SetRateCap(now, 0, 0)
+		}
+	}
+}
+
 func TestLadder(t *testing.T) {
 	l := DefaultLadder()
 	if err := l.Validate(); err != nil {

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"epnet/internal/sim"
@@ -17,50 +16,48 @@ import (
 // ~1.0905x, i.e. 8 buckets per octave) for percentile estimates within
 // ~9% relative error.
 type Latency struct {
-	count   int64
-	sum     sim.Time
-	min     sim.Time
-	max     sim.Time
-	buckets map[int]int64
+	count int64
+	sum   sim.Time
+	min   sim.Time
+	max   sim.Time
+	// under counts zero and negative samples, which sort below every
+	// bucket; buckets[b] counts the positive samples in bucket b.
+	under   int64
+	buckets [numBuckets]int64
 }
 
 const bucketsPerOctave = 8
 
+// numBuckets covers every positive sim.Time: bucketOf(math.MaxInt64)
+// is 63 octaves × 8 = 504.
+const numBuckets = 63*bucketsPerOctave + 1
+
 // NewLatency returns an empty latency accumulator.
 func NewLatency() *Latency {
-	return &Latency{min: math.MaxInt64, buckets: make(map[int]int64)}
+	return &Latency{min: math.MaxInt64}
 }
 
-// underflowBucket holds zero and negative samples. It sorts below every
-// real bucket key, so cumulative walks count those samples before any
-// positive-duration bucket.
-const underflowBucket = math.MinInt32
-
+// bucketOf returns the bucket of a positive sample.
 func bucketOf(d sim.Time) int {
-	if d <= 0 {
-		return underflowBucket
-	}
 	return int(math.Floor(math.Log2(float64(d)) * bucketsPerOctave))
 }
 
 func bucketUpper(b int) sim.Time {
-	if b == underflowBucket {
-		return 0
-	}
 	return sim.Time(math.Exp2(float64(b+1) / bucketsPerOctave))
 }
 
-// sortedKeys returns the occupied bucket keys in ascending order (the
-// underflow bucket first). Percentile and Buckets share this walk so
-// both present the histogram in the same deterministic order regardless
-// of map iteration.
-func (l *Latency) sortedKeys() []int {
-	keys := make([]int, 0, len(l.buckets))
-	for k := range l.buckets {
-		keys = append(keys, k)
+// cells walks the occupied cells in ascending order, the underflow cell
+// (bound 0) first, and stops early when fn returns false. Percentile
+// and Buckets share this walk.
+func (l *Latency) cells(fn func(upper sim.Time, n int64) bool) {
+	if l.under > 0 && !fn(0, l.under) {
+		return
 	}
-	sort.Ints(keys)
-	return keys
+	for b, n := range l.buckets {
+		if n > 0 && !fn(bucketUpper(b), n) {
+			return
+		}
+	}
 }
 
 // Add records one sample.
@@ -72,6 +69,10 @@ func (l *Latency) Add(d sim.Time) {
 	}
 	if d > l.max {
 		l.max = d
+	}
+	if d <= 0 {
+		l.under++
+		return
 	}
 	l.buckets[bucketOf(d)]++
 }
@@ -113,21 +114,16 @@ func (l *Latency) Percentile(p float64) sim.Time {
 		return l.max
 	}
 	target := int64(math.Ceil(float64(l.count) * p / 100))
+	out := l.max
 	var cum int64
-	for _, k := range l.sortedKeys() {
-		cum += l.buckets[k]
-		if cum >= target {
-			u := bucketUpper(k)
-			if u > l.max {
-				u = l.max
-			}
-			if u < l.min {
-				u = l.min
-			}
-			return u
+	l.cells(func(u sim.Time, n int64) bool {
+		if cum += n; cum < target {
+			return true
 		}
-	}
-	return l.max
+		out = max(min(u, l.max), l.min)
+		return false
+	})
+	return out
 }
 
 // Bucket is one histogram cell: Count samples at or below Upper (and
@@ -140,15 +136,11 @@ type Bucket struct {
 // Buckets returns the histogram cells in ascending order of bound,
 // suitable for CDF reporting.
 func (l *Latency) Buckets() []Bucket {
-	keys := l.sortedKeys()
-	out := make([]Bucket, 0, len(keys))
-	for _, k := range keys {
-		u := bucketUpper(k)
-		if u > l.max {
-			u = l.max
-		}
-		out = append(out, Bucket{Upper: u, Count: l.buckets[k]})
-	}
+	out := []Bucket{}
+	l.cells(func(u sim.Time, n int64) bool {
+		out = append(out, Bucket{Upper: min(u, l.max), Count: n})
+		return true
+	})
 	return out
 }
 
@@ -165,8 +157,9 @@ func (l *Latency) Merge(other *Latency) {
 	if other.max > l.max {
 		l.max = other.max
 	}
-	for k, v := range other.buckets {
-		l.buckets[k] += v
+	l.under += other.under
+	for b, n := range other.buckets {
+		l.buckets[b] += n
 	}
 }
 

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,5 +243,172 @@ func TestBar(t *testing.T) {
 	}
 	if Bar(0, 10) != "" {
 		t.Errorf("zero: %q", Bar(0, 10))
+	}
+}
+
+// refLatency is the map-keyed histogram that Latency's fixed array
+// replaced, kept as the reference the array must reproduce exactly.
+type refLatency struct {
+	count    int64
+	min, max sim.Time
+	buckets  map[int]int64
+}
+
+const refUnderflow = math.MinInt32
+
+func newRefLatency() *refLatency {
+	return &refLatency{min: math.MaxInt64, buckets: map[int]int64{}}
+}
+
+func refBucketOf(d sim.Time) int {
+	if d <= 0 {
+		return refUnderflow
+	}
+	return int(math.Floor(math.Log2(float64(d)) * bucketsPerOctave))
+}
+
+func refUpper(b int) sim.Time {
+	if b == refUnderflow {
+		return 0
+	}
+	return sim.Time(math.Exp2(float64(b+1) / bucketsPerOctave))
+}
+
+func (r *refLatency) add(d sim.Time) {
+	r.count++
+	r.min, r.max = min(r.min, d), max(r.max, d)
+	r.buckets[refBucketOf(d)]++
+}
+
+func (r *refLatency) merge(o *refLatency) {
+	if o.count == 0 {
+		return
+	}
+	r.count += o.count
+	r.min, r.max = min(r.min, o.min), max(r.max, o.max)
+	for k, v := range o.buckets {
+		r.buckets[k] += v
+	}
+}
+
+func (r *refLatency) keys() []int {
+	keys := make([]int, 0, len(r.buckets))
+	for k := range r.buckets {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+func (r *refLatency) percentile(p float64) sim.Time {
+	if r.count == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return r.min
+	}
+	if p >= 100 {
+		return r.max
+	}
+	target := int64(math.Ceil(float64(r.count) * p / 100))
+	var cum int64
+	for _, k := range r.keys() {
+		cum += r.buckets[k]
+		if cum >= target {
+			u := refUpper(k)
+			if u > r.max {
+				u = r.max
+			}
+			if u < r.min {
+				u = r.min
+			}
+			return u
+		}
+	}
+	return r.max
+}
+
+func (r *refLatency) cells() []Bucket {
+	keys := r.keys()
+	out := make([]Bucket, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, Bucket{Upper: min(refUpper(k), r.max), Count: r.buckets[k]})
+	}
+	return out
+}
+
+// TestLatencyMatchesMapReference checks Percentile, Buckets and Merge
+// against refLatency on random samples that include zero, negative and
+// near-MaxInt64 durations, for single and merged recorders.
+func TestLatencyMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sample := func() sim.Time {
+		switch rng.Intn(6) {
+		case 0:
+			return -sim.Time(rng.Int63n(1 << 40))
+		case 1:
+			return 0
+		case 2:
+			return math.MaxInt64 - sim.Time(rng.Int63n(1<<12))
+		case 3:
+			return sim.Time(rng.Int63())
+		default: // 1 ps to about 1 ms, log-uniform
+			return sim.Time(math.Exp2(rng.Float64() * 30))
+		}
+	}
+	check := func(tag string, l *Latency, r *refLatency) {
+		t.Helper()
+		if l.Count() != r.count {
+			t.Fatalf("%s: Count %d, want %d", tag, l.Count(), r.count)
+		}
+		if r.count > 0 && (l.Min() != r.min || l.Max() != r.max) {
+			t.Fatalf("%s: Min/Max %v/%v, want %v/%v", tag, l.Min(), l.Max(), r.min, r.max)
+		}
+		ps := []float64{-1, 0, 1e-9, 0.1, 1, 10, 25, 50, 75, 90, 99, 99.9, 99.99, 100, 101}
+		for i := 0; i < 20; i++ {
+			ps = append(ps, rng.Float64()*100)
+		}
+		for _, p := range ps {
+			if got, want := l.Percentile(p), r.percentile(p); got != want {
+				t.Fatalf("%s: Percentile(%v) = %v, want %v", tag, p, got, want)
+			}
+		}
+		got, want := l.Buckets(), r.cells()
+		if got == nil || len(got) != len(want) {
+			t.Fatalf("%s: Buckets() = %v, want %v", tag, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: bucket %d = %+v, want %+v", tag, i, got[i], want[i])
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		merged, mergedRef := NewLatency(), newRefLatency()
+		for part := 0; part < 3; part++ {
+			l, r := NewLatency(), newRefLatency()
+			for n := rng.Intn(50); n > 0; n-- {
+				d := sample()
+				l.Add(d)
+				r.add(d)
+			}
+			check("single", l, r)
+			merged.Merge(l)
+			mergedRef.merge(r)
+			check("merged", merged, mergedRef)
+		}
+	}
+}
+
+// TestLatencyAddZeroAlloc checks that recording a sample allocates
+// nothing, whichever bucket it lands in.
+func TestLatencyAddZeroAlloc(t *testing.T) {
+	l := NewLatency()
+	d := sim.Time(-5)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Add(d)
+		d = d*3 + 7
+	}); allocs != 0 {
+		t.Errorf("Add allocates %v times per sample, want 0", allocs)
 	}
 }
