@@ -52,7 +52,7 @@ func TestCreditBlockedDigest(t *testing.T) {
 			cfg.Shards = c.shards
 			cfg.InputBufBytes = c.buf * cfg.MaxPacket
 			cfg.CreditDelay = c.credit
-			fp, _ := runFabric(t, cfg, c.faults, nil)
+			fp, _ := runFabric(t, cfg, uniformTraffic, c.faults, nil)
 			if got := fp.digest(); fp.deliveredPkts != c.delivered || got != c.fingerprint {
 				t.Errorf("delivered %d, digest %s; want %d, %s",
 					fp.deliveredPkts, got, c.delivered, c.fingerprint)
@@ -72,7 +72,7 @@ func TestCreditPoolsRefill(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Seed = 42
 			cfg.Shards = shards
-			fp, n := runFabric(t, cfg, faults, nil)
+			fp, n := runFabric(t, cfg, uniformTraffic, faults, nil)
 			if fp.deliveredPkts == 0 {
 				t.Fatalf("shards=%d faults=%v: nothing delivered", shards, faults)
 			}
