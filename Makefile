@@ -118,18 +118,19 @@ smoke-scenarios:
 	$(GO) test -run 'TestScenario|TestSinglePhaseScenarioMatchesFlagRun|TestPhaseInsertionStability|TestPresetLoadsAsScenario' .
 
 # Flow tracing end to end: the chaos scenario traced serially and
-# sharded, with the two -flows-out reports compared byte for byte (the
-# tracer rides the determinism contract), then the flow-trace and
-# flight-recorder tests under the race detector. Files land in
-# /tmp/epnet-flows.
+# sharded, with the two -flows-out reports and the two -trace-out
+# Chrome traces compared byte for byte (the tracer rides the
+# determinism contract), then the flow-trace and flight-recorder tests
+# under the race detector. Files land in /tmp/epnet-flows.
 smoke-flows:
 	mkdir -p /tmp/epnet-flows
-	$(GO) run ./cmd/epsim -scenario chaos -warmup 100us -shards 1 \
-		-flow-sample 1 -flows-out /tmp/epnet-flows/serial.json
-	$(GO) run ./cmd/epsim -scenario chaos -warmup 100us -shards 4 \
-		-flow-sample 1 -flows-out /tmp/epnet-flows/sharded.json
+	$(GO) run ./cmd/epsim -scenario chaos -warmup 100us -shards 1 -flow-sample 1 \
+		-flows-out /tmp/epnet-flows/serial.json -trace-out /tmp/epnet-flows/serial.trace.json
+	$(GO) run ./cmd/epsim -scenario chaos -warmup 100us -shards 4 -flow-sample 1 \
+		-flows-out /tmp/epnet-flows/sharded.json -trace-out /tmp/epnet-flows/sharded.trace.json
 	cmp /tmp/epnet-flows/serial.json /tmp/epnet-flows/sharded.json
-	$(GO) test -race -run 'FlowTrace|FlightRecorder' ./internal/telemetry/ ./internal/fabric/ .
+	cmp /tmp/epnet-flows/serial.trace.json /tmp/epnet-flows/sharded.trace.json
+	$(GO) test -race -run 'Flow|PacketTrace|FaultDump|WriteChrome' ./internal/telemetry/ .
 	@ls -l /tmp/epnet-flows
 
 # Scale smoke: build an 8-ary 5-flat flattened butterfly (32,768 hosts,
@@ -145,8 +146,9 @@ smoke-scale:
 # Short run with the full observability stack on: labeled metrics CSV,
 # utilization heatmap + histogram, per-link attribution, and one live
 # scrape of the inspection endpoint. Then the grid commands: fig7's two
-# runs and a two-value sweep must each write their numbered .000 and
-# .001 files, non-empty. Files land in /tmp/epnet-observe.
+# runs (metrics, flow report and Chrome trace) and a two-value sweep
+# must each write their numbered .000 and .001 files, non-empty. Files
+# land in /tmp/epnet-observe.
 OBS := /tmp/epnet-observe
 observe-demo:
 	mkdir -p $(OBS)
@@ -156,10 +158,12 @@ observe-demo:
 		-hist-out $(OBS)/hist.csv \
 		-attribution -listen 127.0.0.1:0
 	$(GO) run ./cmd/experiments -only fig7 -duration 200us -warmup 50us \
-		-metrics-out $(OBS)/fig7-metrics.csv -flows-out $(OBS)/fig7-flows.json
+		-metrics-out $(OBS)/fig7-metrics.csv -flows-out $(OBS)/fig7-flows.json \
+		-trace-out $(OBS)/fig7-trace.json
 	$(GO) run ./cmd/sweep -x target -values 0.25,0.5 -duration 200us -warmup 50us \
 		-metrics-out $(OBS)/sweep-metrics.csv -flows-out $(OBS)/sweep-flows.json
 	for f in fig7-metrics.000.csv fig7-metrics.001.csv fig7-flows.000.json fig7-flows.001.json \
+		fig7-trace.000.json fig7-trace.001.json \
 		sweep-metrics.000.csv sweep-metrics.001.csv sweep-flows.000.json sweep-flows.001.json; do \
 		test -s $(OBS)/$$f || { echo "observe-demo: $(OBS)/$$f missing or empty"; exit 1; }; \
 	done

@@ -52,12 +52,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "epsim:", err)
 		os.Exit(1)
 	}
-	if cfg.TraceOut != "" && cfg.Shards == 0 {
-		// Auto-sharding resolves to the serial engine when packet tracing
-		// is on — say so instead of silently running serial. An explicit
-		// -shards > 1 with -trace-out is rejected by Validate.
-		fmt.Fprintln(os.Stderr, "epsim: -trace-out needs the serial engine; running with shards=1")
-	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "epsim:", err)
 		os.Exit(1)

@@ -175,21 +175,27 @@ func TestCommandsSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("epsim-trace-out-notice", func(t *testing.T) {
+	t.Run("epsim-trace-out-sharded", func(t *testing.T) {
 		es := buildTool(t, dir, "epsim")
-		// The Chrome tracer needs the serial engine. With auto shards the
-		// fallback must be announced, not silent.
-		trace := filepath.Join(dir, "chrome.json")
-		out := runTool(t, es, "-duration", "200us", "-warmup", "50us", "-trace-out", trace)
-		const notice = "-trace-out needs the serial engine; running with shards=1"
-		if !strings.Contains(out, notice) {
-			t.Errorf("auto-shard trace run missing notice %q:\n%s", notice, out)
+		// The Chrome trace renders the flow report, so a sharded run
+		// writes the serial run's bytes, with no fallback to announce.
+		trace := func(shards string) []byte {
+			path := filepath.Join(dir, "chrome-"+shards+".json")
+			out := runTool(t, es, "-duration", "200us", "-warmup", "50us",
+				"-shards", shards, "-trace-out", path)
+			if strings.Contains(out, "serial engine") {
+				t.Errorf("-shards %s -trace-out printed a serial-engine notice:\n%s", shards, out)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
 		}
-		// An explicit -shards 1 is not a fallback: no notice.
-		out = runTool(t, es, "-duration", "200us", "-warmup", "50us",
-			"-shards", "1", "-trace-out", trace)
-		if strings.Contains(out, notice) {
-			t.Errorf("explicit -shards 1 still printed the fallback notice:\n%s", out)
+		serial, sharded := trace("1"), trace("4")
+		if len(serial) == 0 || !bytes.Equal(serial, sharded) {
+			t.Errorf("-shards 4 trace (%d bytes) differs from the serial one (%d bytes)",
+				len(sharded), len(serial))
 		}
 	})
 

@@ -1,6 +1,7 @@
 package epnet
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -21,12 +22,13 @@ type matrixCase struct {
 }
 
 // runMatrixCell executes one configuration at the given shard count,
-// returning the Result and the raw bytes of the sampled metrics series.
-// The metrics file exercises the whole telemetry path — registry
-// closures, merged latency histogram view, sampler — under sharding.
-// With profile set, engine self-profiling runs too (and must not show
-// up anywhere but Result.Profile and its own output file).
-func runMatrixCell(t *testing.T, mc matrixCase, shards int, dir string, profile bool) (Result, []byte) {
+// returning the Result and the raw bytes of its output files by name:
+// the sampled metrics series, and for flow-traced cells the Chrome
+// trace. The metrics file exercises the whole telemetry path —
+// registry closures, merged latency histogram view, sampler — under
+// sharding. With profile set, engine self-profiling runs too (and must
+// not show up anywhere but Result.Profile and its own output file).
+func runMatrixCell(t *testing.T, mc matrixCase, shards int, dir string, profile bool) (Result, map[string][]byte) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Workload = WorkloadUniform
@@ -46,6 +48,9 @@ func runMatrixCell(t *testing.T, mc matrixCase, shards int, dir string, profile 
 		cfg.FaultRate = 20 // expected events per simulated ms
 	}
 	mc.mutate(&cfg)
+	if cfg.FlowTrace {
+		cfg.TraceOut = filepath.Join(dir, "trace.json")
+	}
 	if mc.scenario != "" {
 		loaded, err := LoadScenario(mc.scenario, cfg)
 		if err != nil {
@@ -66,9 +71,16 @@ func runMatrixCell(t *testing.T, mc matrixCase, shards int, dir string, profile 
 	if err != nil {
 		t.Fatalf("%s shards=%d: %v", mc.name, shards, err)
 	}
-	series, err := os.ReadFile(cfg.MetricsOut)
-	if err != nil {
-		t.Fatalf("%s shards=%d: %v", mc.name, shards, err)
+	files := map[string][]byte{}
+	for name, path := range map[string]string{"metrics": cfg.MetricsOut, "trace": cfg.TraceOut} {
+		if path == "" {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s shards=%d: %v", mc.name, shards, err)
+		}
+		files[name] = data
 	}
 	if profile {
 		if res.Profile == nil {
@@ -87,18 +99,19 @@ func runMatrixCell(t *testing.T, mc matrixCase, shards int, dir string, profile 
 				mc.name, shards, len(out.Shards), len(res.Profile.Shards))
 		}
 	}
-	return res, series
+	return res, files
 }
 
 // TestShardDeterminismMatrix is the end-to-end half of the determinism
 // guarantee: across topologies, with link retuning always on and with
 // and without a seeded fault process, every shard count must reproduce
-// the serial run's Result and its sampled telemetry series byte for
-// byte. Only Config.Shards itself may differ. The sharded cells run
-// with engine self-profiling enabled while the serial anchor does not,
-// so the same comparison also proves the profiler never perturbs the
-// deterministic outputs (Result.Profile is wall-clock data and is
-// normalized away, like the config fields that legitimately differ).
+// the serial run's Result, its sampled telemetry series and, for the
+// flow-traced cells, its Chrome trace byte for byte. Only Config.Shards
+// itself may differ. The sharded cells run with engine self-profiling
+// enabled while the serial anchor does not, so the same comparison also
+// proves the profiler never perturbs the deterministic outputs
+// (Result.Profile is wall-clock data and is normalized away, like the
+// config fields that legitimately differ).
 func TestShardDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of full runs")
@@ -137,6 +150,7 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	// every shard count, and the merged report (exemplars, per-phase
 	// decompositions, anomaly dumps from real drops/faults) lives inside
 	// Result.FlowTrace, so the DeepEqual below covers it byte for byte.
+	// These cells also write the report's Chrome trace.
 	cells = append(cells,
 		matrixCase{name: "fbfly/flowtrace", mutate: func(c *Config) {
 			c.FlowTrace = true
@@ -150,7 +164,7 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	for _, mc := range cells {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
-			want, wantSeries := runMatrixCell(t, mc, 1, t.TempDir(), false)
+			want, wantFiles := runMatrixCell(t, mc, 1, t.TempDir(), false)
 			if want.DeliveredPackets == 0 {
 				t.Fatal("serial run delivered nothing")
 			}
@@ -162,7 +176,7 @@ func TestShardDeterminismMatrix(t *testing.T) {
 				shardCounts = []int{2, 4}
 			}
 			for _, shards := range shardCounts {
-				got, gotSeries := runMatrixCell(t, mc, shards, t.TempDir(), true)
+				got, gotFiles := runMatrixCell(t, mc, shards, t.TempDir(), true)
 				// The recorded Config legitimately differs in the
 				// shard count, the per-run temp output paths, and
 				// the profiling switches; Result.Profile itself is
@@ -170,6 +184,7 @@ func TestShardDeterminismMatrix(t *testing.T) {
 				// Normalize all of it before the deep compare.
 				got.Config.Shards = want.Config.Shards
 				got.Config.MetricsOut = want.Config.MetricsOut
+				got.Config.TraceOut = want.Config.TraceOut
 				got.Config.Profile = want.Config.Profile
 				got.Config.ProfileOut = want.Config.ProfileOut
 				got.Profile = nil
@@ -177,9 +192,11 @@ func TestShardDeterminismMatrix(t *testing.T) {
 					t.Errorf("shards=%d: Result diverges from serial\nserial: %+v\nshards: %+v",
 						shards, want, got)
 				}
-				if string(wantSeries) != string(gotSeries) {
-					t.Errorf("shards=%d: metrics series diverges from serial (%d vs %d bytes)",
-						shards, len(wantSeries), len(gotSeries))
+				for name, data := range wantFiles {
+					if !bytes.Equal(data, gotFiles[name]) {
+						t.Errorf("shards=%d: %s file diverges from serial (%d vs %d bytes)",
+							shards, name, len(data), len(gotFiles[name]))
+					}
 				}
 			}
 		})

@@ -188,11 +188,9 @@ type Config struct {
 	// wall-clock time.
 	//
 	// 0 (the default) means auto: one shard per 4,096 hosts, capped at
-	// runtime.GOMAXPROCS, and serial when the run needs the serial
-	// engine (TraceOut). Below 8,192 hosts that is the serial engine,
+	// runtime.GOMAXPROCS. Below 8,192 hosts that is the serial engine,
 	// which is faster there. 1 forces the serial engine; counts above
-	// the switch count are capped to it. Explicit Shards > 1 is
-	// incompatible with TraceOut (the trace stream is single-writer).
+	// the switch count are capped to it.
 	Shards int `json:"shards,omitempty"`
 
 	// MaxPacket is the segmentation size (default 2048 bytes).
@@ -214,12 +212,13 @@ type Config struct {
 	MetricsOut     string        `json:"metrics_out,omitempty"`
 	SampleInterval time.Duration `json:"sample_interval,omitempty"`
 
-	// TraceOut, when non-empty, streams a Chrome trace_event JSON file
-	// to this path: packet lifetime spans (inject -> deliver) and link
-	// reconfiguration spans (CDR re-lock vs lane retraining), loadable
-	// in chrome://tracing or https://ui.perfetto.dev. When unset — the
-	// default — the packet path carries no tracing work beyond one nil
-	// check.
+	// TraceOut, when non-empty, writes the flow-trace report to this
+	// path at the end of the run as a Chrome trace_event JSON file,
+	// loadable in chrome://tracing or https://ui.perfetto.dev: one track
+	// per exemplar and dropped packet, its hops and their latency
+	// components (retune stalls among them) as spans, and one instant
+	// per fault and drop dump. It implies FlowTrace and, like the
+	// report, is byte-identical across shard counts.
 	TraceOut string `json:"trace_out,omitempty"`
 
 	// HeatmapOut, when non-empty, writes a utilization x time heatmap
@@ -502,7 +501,7 @@ func (c *Config) Validate() error {
 	if c.FlowSample < 0 || c.FlowSample > 1 {
 		return fieldErr("FlowSample", "%v out of (0,1]", c.FlowSample)
 	}
-	if c.FlowsOut != "" || c.FlowSample > 0 {
+	if c.FlowsOut != "" || c.TraceOut != "" || c.FlowSample > 0 {
 		c.FlowTrace = true
 	}
 	if c.FlowTrace && c.FlowSample == 0 {
@@ -514,10 +513,14 @@ func (c *Config) Validate() error {
 	if c.Shards == 0 {
 		c.Shards = c.autoShards(runtime.GOMAXPROCS(0))
 	}
-	if c.Shards > 1 && c.TraceOut != "" {
-		return fieldErr("TraceOut", "packet tracing requires the serial engine (Shards <= 1)")
-	}
 	return nil
+}
+
+// outputPaths returns the config's output paths, in the order of the
+// out* file kinds.
+func (c *Config) outputPaths() [numOutputs]*string {
+	return [numOutputs]*string{&c.MetricsOut, &c.TraceOut, &c.HeatmapOut,
+		&c.HistOut, &c.ProfileOut, &c.FlowsOut}
 }
 
 // checkClock rejects durations the simulator clock cannot hold. It
@@ -591,14 +594,10 @@ func (c *Config) checkClock(faults fault.Schedule) error {
 const hostsPerShard = 4096
 
 // autoShards resolves Shards = 0 for a run that may use procs CPUs: one
-// shard per hostsPerShard hosts, at most procs, and serial when the run
-// needs the serial engine (packet tracing). Called after the topology
-// fields are validated; a shape too large to build resolves to 1 and
-// fails when the run builds it.
+// shard per hostsPerShard hosts, at most procs. Called after the
+// topology fields are validated; a shape too large to build resolves to
+// 1 and fails when the run builds it.
 func (c *Config) autoShards(procs int) int {
-	if c.TraceOut != "" {
-		return 1
-	}
 	t, err := newTopology(*c)
 	if err != nil {
 		return 1
@@ -714,8 +713,8 @@ type Result struct {
 	Attribution []LinkAttribution
 
 	// FlowTrace is the per-flow latency and energy decomposition
-	// (populated only when Config.FlowTrace or Config.FlowsOut is set):
-	// per-phase component breakdowns, energy per delivered bit,
+	// (populated only when Config.FlowTrace, FlowsOut or TraceOut is
+	// set): per-phase component breakdowns, energy per delivered bit,
 	// slowest-packet exemplars with full hop logs, and anomaly dumps
 	// from the flight recorder. Fully deterministic — byte-identical
 	// across shard counts for the same Config.

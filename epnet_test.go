@@ -48,7 +48,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }},
 		{"tiny packet", func(c *Config) { c.MaxPacket = 32 }},
 		{"negative shards", func(c *Config) { c.Shards = -1 }},
-		{"tracing with explicit shards", func(c *Config) { c.Shards = 2; c.TraceOut = "x.trace" }},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -59,10 +58,23 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
+// TestConfigValidateTraceOut: the Chrome trace renders the flow report,
+// so it turns flow tracing on at the default sample rate and runs at
+// any shard count.
+func TestConfigValidateTraceOut(t *testing.T) {
+	cfg := Config{K: 4, N: 2, C: 4, Duration: time.Millisecond, Shards: 2, TraceOut: "x.trace"}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("tracing with explicit shards rejected: %v", err)
+	}
+	if cfg.Shards != 2 || !cfg.FlowTrace || cfg.FlowSample != 1.0/64 {
+		t.Errorf("validated: shards=%d flow_trace=%v flow_sample=%v, want 2, true, 1/64",
+			cfg.Shards, cfg.FlowTrace, cfg.FlowSample)
+	}
+}
+
 // TestConfigAutoShards pins the Shards=0 auto resolution against the
 // engine crossover measured on 2 CPUs: one shard per 4,096 hosts,
-// capped at the CPUs, serial when the run needs the serial engine,
-// untouched when explicit.
+// capped at the CPUs, untouched when explicit.
 func TestConfigAutoShards(t *testing.T) {
 	fbfly := func(k, n, c int) Config { return Config{Topology: TopoFBFLY, K: k, N: n, C: c} }
 	cases := []struct {
@@ -90,8 +102,6 @@ func TestConfigAutoShards(t *testing.T) {
 		{"32,768 hosts at 1 proc", fbfly(8, 5, 8), 1, 1},
 		{"fattree 16,384 hosts", Config{Topology: TopoFatTree, K: 128, C: 128}, 2, 2},
 		{"clos3 K=32, 8,192 hosts", Config{Topology: TopoClos3, K: 32}, 2, 2},
-		// Tracing needs the serial engine: auto resolves to 1.
-		{"tracing", Config{Topology: TopoFBFLY, K: 8, N: 5, C: 8, TraceOut: "x"}, 2, 1},
 		// A shape the topology refuses to build (2^39 switches) leaves
 		// the error to the run's build.
 		{"fbfly too large to build", fbfly(2, 40, 1), 2, 1},
@@ -117,14 +127,6 @@ func TestConfigAutoShards(t *testing.T) {
 	}
 	if cfg.Shards != 1 {
 		t.Errorf("explicit Shards=1 rewritten to %d", cfg.Shards)
-	}
-	// Auto + tracing is fine — it picks the serial engine.
-	cfg = Config{K: 4, N: 2, C: 4, Duration: time.Millisecond, TraceOut: "x.trace"}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Shards != 1 {
-		t.Errorf("auto shards with tracing = %d, want 1", cfg.Shards)
 	}
 }
 

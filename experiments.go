@@ -43,8 +43,7 @@ type EvalConfig struct {
 func NumberOutputs(cfgs []Config, first int) {
 	for i := range cfgs {
 		c := &cfgs[i]
-		for _, p := range []*string{&c.MetricsOut, &c.TraceOut, &c.HeatmapOut,
-			&c.HistOut, &c.ProfileOut, &c.FlowsOut} {
+		for _, p := range c.outputPaths() {
 			if *p != "" {
 				ext := filepath.Ext(*p)
 				*p = fmt.Sprintf("%s.%03d%s", strings.TrimSuffix(*p, ext), first+i, ext)

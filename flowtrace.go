@@ -1,20 +1,16 @@
 package epnet
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"strings"
 	"time"
 
 	"epnet/internal/sim"
 	"epnet/internal/telemetry"
 )
 
-// This file is the public face of flow tracing (Config.FlowTrace /
-// Config.FlowsOut). The report types live in internal/telemetry beside
-// the collector that builds them; these aliases are their public names,
-// as for EngineProfile.
+// This file is the public face of flow tracing (Config.FlowTrace,
+// FlowsOut and TraceOut). The report types live in internal/telemetry
+// beside the collector that builds them; these aliases are their public
+// names, as for EngineProfile.
 type (
 	// FlowTraceReport is the per-flow latency and energy decomposition
 	// of a run (see Result.FlowTrace). WriteReport renders the ranked
@@ -57,21 +53,4 @@ func applyToScore(c *FlowClassReport, ps *PhaseScore) {
 	ps.SerializeTime = mean(b.SerializePs)
 	ps.WireTime = mean(b.WirePs)
 	ps.RouteTime = mean(b.RoutePs)
-}
-
-// writeFlowsOut writes the report to path: CSV when the path ends in
-// ".csv", indented JSON otherwise.
-func writeFlowsOut(path string, r *FlowTraceReport) error {
-	write := func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(r)
-	}
-	if strings.HasSuffix(path, ".csv") {
-		write = r.WriteCSV
-	}
-	if err := writeFile(path, write); err != nil {
-		return fmt.Errorf("epnet: writing flow trace: %w", err)
-	}
-	return nil
 }

@@ -3,8 +3,6 @@ package epnet
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -205,13 +203,14 @@ func TestFlowTraceValidate(t *testing.T) {
 	}
 }
 
-// TestFlowTraceOutputs pins the -flows-out writers: CSV gets the stable
-// per-phase header, JSON round-trips into the public report type.
+// TestFlowTraceOutputs pins the -flows-out writers: a ".csv" path gets
+// the stable per-phase header, any other path JSON that round-trips
+// into the public report type.
 func TestFlowTraceOutputs(t *testing.T) {
 	ft := chaosFlowRun(t).FlowTrace
 
 	var csv bytes.Buffer
-	if err := ft.WriteCSV(&csv); err != nil {
+	if err := jsonOrCSV("flows.csv", ft, ft.WriteCSV)(&csv); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -229,17 +228,12 @@ func TestFlowTraceOutputs(t *testing.T) {
 		t.Errorf("CSV header = %q, want %q", lines[1], header)
 	}
 
-	dir := t.TempDir()
-	path := filepath.Join(dir, "flows.json")
-	if err := writeFlowsOut(path, ft); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+	var js bytes.Buffer
+	if err := jsonOrCSV("flows.json", ft, ft.WriteCSV)(&js); err != nil {
 		t.Fatal(err)
 	}
 	var back FlowTraceReport
-	if err := json.Unmarshal(data, &back); err != nil {
+	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
 		t.Fatalf("flows JSON does not round-trip: %v", err)
 	}
 	if back.Started != ft.Started || len(back.Classes) != len(ft.Classes) {

@@ -246,15 +246,12 @@ func TestFlowReportGolden(t *testing.T) {
 	cfg.Warmup = 100 * time.Microsecond
 	cfg.Shards = 1
 	cfg.FlowSample = 1
+	cfg.FlowsOut = filepath.Join(t.TempDir(), "flows.json")
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "flows.json")
-	if err := writeFlowsOut(path, res.FlowTrace); err != nil {
-		t.Fatal(err)
-	}
-	js, err := os.ReadFile(path)
+	js, err := os.ReadFile(cfg.FlowsOut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func (l *Loader) Bind(fs *flag.FlagSet, cmd string, base epnet.Config) {
 		func(c *epnet.Config, v time.Duration) { c.Duration = v })
 	p := fs.Int64("seed", base.Seed, "random seed")
 	l.apply["seed"] = func(c *epnet.Config) { c.Seed = *p }
-	num("shards", base.Shards, "parallel simulation shards (0 = auto: one per 4,096 hosts, at most one per CPU, so serial below 8,192 hosts; 1 = serial; results are byte-identical)",
+	num("shards", base.Shards, "parallel simulation shards (0 = auto: one per 4,096 hosts, at most one per CPU, so serial below 8,192 hosts; 1 = serial; results, -flows-out and -trace-out are byte-identical)",
 		func(c *epnet.Config, v int) { c.Shards = v })
 	boolean("dyntopo", base.DynTopo, "enable the dynamic topology controller",
 		func(c *epnet.Config, v bool) { c.DynTopo = v })
@@ -138,7 +138,7 @@ func (l *Loader) Bind(fs *flag.FlagSet, cmd string, base epnet.Config) {
 		func(c *epnet.Config, v string) { c.MetricsOut = v })
 	dur("sample-interval", base.SampleInterval, "metrics sampling period (default: one epoch)",
 		func(c *epnet.Config, v time.Duration) { c.SampleInterval = v })
-	str("trace-out", base.TraceOut, "write a Chrome trace_event JSON file (open in chrome://tracing or ui.perfetto.dev)"+perRun,
+	str("trace-out", base.TraceOut, "write the flow-trace report as a Chrome trace_event JSON file (open in chrome://tracing or ui.perfetto.dev): traced packets' hops and latency components as spans; implies -flow-trace"+perRun,
 		func(c *epnet.Config, v string) { c.TraceOut = v })
 	str("heatmap-out", base.HeatmapOut, "write the per-link utilization x time heatmap CSV to this file"+perRun,
 		func(c *epnet.Config, v string) { c.HeatmapOut = v })

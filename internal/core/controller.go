@@ -60,12 +60,6 @@ type Controller struct {
 	// Reconfigurations counts rate changes applied, for reports.
 	Reconfigurations int64
 
-	// Tracer, when set, receives one span per rate change on the
-	// telemetry.PIDLinks track (thread = channel index): the span
-	// covers the reactivation window, so a trace shows exactly when
-	// each link was dark re-locking its CDR or retraining lanes.
-	Tracer *telemetry.Tracer
-
 	// Labeled retune counters, pre-resolved by RegisterMetrics and
 	// nil when telemetry is off (Inc on nil is a no-op). mUp/mDown
 	// split rate changes by direction; mDim attributes them to the
@@ -126,28 +120,6 @@ func (c *Controller) noteRetune(ch *fabric.Chan, from, to link.Rate) {
 			c.mDim[d].Inc()
 		}
 	}
-}
-
-// traceRetune emits the rate-change span for one channel. The category
-// distinguishes a digital CDR re-lock from full lane retraining when
-// the mode-aware model is active.
-func (c *Controller) traceRetune(ch *fabric.Chan, from, to link.Rate, now, react sim.Time) {
-	cat := "retune"
-	if c.ModeAware {
-		fm, ok1 := link.ModeFor(from, c.Modes)
-		tm, ok2 := link.ModeFor(to, c.Modes)
-		if ok1 && ok2 {
-			if fm.Lanes == tm.Lanes {
-				cat = "cdr-relock"
-			} else {
-				cat = "lane-retrain"
-			}
-		}
-	}
-	c.Tracer.Complete(fmt.Sprintf("%v->%v", from, to), cat,
-		telemetry.PIDLinks, ch.Index(), now, react,
-		fmt.Sprintf(`"from_gbps":%g,"to_gbps":%g,"react_ns":%g`,
-			from.GbpsF(), to.GbpsF(), react.Nanoseconds()))
 }
 
 // DefaultController returns the paper's evaluation configuration: the
@@ -256,10 +228,6 @@ func (c *Controller) tick(now sim.Time) {
 			if next != a.Rate() {
 				fromA, fromB := a.Rate(), b.Rate()
 				react := c.reactivationFor(fromA, next)
-				if c.Tracer != nil {
-					c.traceRetune(pair[0], fromA, next, now, react)
-					c.traceRetune(pair[1], fromB, next, now, react)
-				}
 				a.SetRate(now, next, react)
 				b.SetRate(now, next, react)
 				c.Reconfigurations += 2
@@ -283,9 +251,6 @@ func (c *Controller) tick(now sim.Time) {
 			if next != l.Rate() {
 				from := l.Rate()
 				react := c.reactivationFor(from, next)
-				if c.Tracer != nil {
-					c.traceRetune(ch, from, next, now, react)
-				}
 				l.SetRate(now, next, react)
 				c.Reconfigurations++
 				c.noteRetune(ch, from, next)

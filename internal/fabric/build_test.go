@@ -28,8 +28,8 @@ func buildSignature(t *testing.T, n *Network) ([]chanSig, [][2]int, [][]int, []i
 		if c == nil {
 			t.Fatalf("channel slot %d left nil", i)
 		}
-		if c.Index() != i {
-			t.Fatalf("channel slot %d holds index %d", i, c.Index())
+		if c.idx != i {
+			t.Fatalf("channel slot %d holds index %d", i, c.idx)
 		}
 		chs[i] = chanSig{
 			idx: c.idx, src: c.Src, dst: c.Dst, credits: c.credits,

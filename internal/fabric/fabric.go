@@ -255,11 +255,6 @@ func (c *Chan) Credits() int64 {
 // Failed reports whether the channel is hard-failed (fault injection).
 func (c *Chan) Failed() bool { return c.net.chanCold[c.idx].failed }
 
-// Index returns the channel's position in Network.Channels(). It is
-// stable for the network's lifetime and doubles as the channel's trace
-// thread id.
-func (c *Chan) Index() int { return c.idx }
-
 // Drops returns packets lost on this channel to injected faults.
 func (c *Chan) Drops() int64 { return c.net.chanCold[c.idx].drops }
 
@@ -313,12 +308,6 @@ type Network struct {
 	// HostShard) — shards run concurrently, so the callback must keep
 	// per-shard state.
 	OnDeliver func(p *Packet, now sim.Time)
-
-	// Tracer, when set, receives packet-lifetime spans (inject ->
-	// deliver, on the telemetry.PIDPackets track) and injection
-	// instants. Nil — the default — keeps the per-packet path free of
-	// everything but one pointer test.
-	Tracer *telemetry.Tracer
 
 	// OnMessageDone, when set before any injection, observes every
 	// completed message (all of its packets delivered). Fires on the
@@ -593,10 +582,6 @@ func (n *Network) InjectMessage(src, dst, size int) {
 	now := n.E.Now()
 	h := n.Hosts[src]
 	n.nextMsgID++
-	if n.Tracer != nil {
-		n.Tracer.Instant("inject", "traffic", telemetry.PIDPackets, src, now,
-			fmt.Sprintf(`"msg":%d,"dst":%d,"bytes":%d`, n.nextMsgID, dst, size))
-	}
 	pkts := n.PacketsPerMessage(size)
 	if n.OnMessageDone != nil {
 		// Completion is observed at the destination host, so the
@@ -817,11 +802,6 @@ func (n *Network) dropPacket(rt *shardRT, p *Packet, now sim.Time, why string) {
 	rt.droppedPkts++
 	rt.droppedBytes += int64(p.Size)
 	n.chanCold[p.ch].drops++
-	if n.Tracer != nil {
-		n.Tracer.Instant("drop", "fault", telemetry.PIDFaults, 0, now,
-			fmt.Sprintf(`"pkt":%d,"src":%d,"dst":%d,"bytes":%d,"why":%q`,
-				p.ID, p.Src, p.Dst, p.Size, why))
-	}
 	if n.OnMessageDone != nil {
 		drt := n.Hosts[p.Dst].rt
 		if drt == rt {

@@ -317,12 +317,6 @@ func (g *ShardGroup) start() {
 	if g.started {
 		return
 	}
-	if g.net.Tracer != nil {
-		// Panic before marking the group started: a deferred Close after
-		// this panic must not try to close worker channels that were
-		// never created.
-		panic("fabric: packet tracing requires a serial run (Shards=1)")
-	}
 	g.started = true
 	for _, rt := range g.rts {
 		rt.work = make(chan windowReq, 1)
@@ -335,10 +329,9 @@ func (g *ShardGroup) start() {
 	}
 }
 
-// Close stops the shard workers. Idempotent — extra calls, including
-// after a start that panicked before spawning workers, are no-ops. The
-// group is unusable afterwards. Networks built with Shards=1 have no
-// group to close.
+// Close stops the shard workers. Idempotent — extra calls, and a call
+// before any worker started, are no-ops. The group is unusable
+// afterwards. Networks built with Shards=1 have no group to close.
 func (g *ShardGroup) Close() {
 	if g.closed {
 		return
@@ -348,9 +341,7 @@ func (g *ShardGroup) Close() {
 		return
 	}
 	for _, rt := range g.rts {
-		if rt.work != nil {
-			close(rt.work)
-		}
+		close(rt.work)
 	}
 }
 
@@ -737,9 +728,10 @@ func (n *Network) SetProfiler(p *telemetry.EngineProfiler) {
 // collector: from then on injected packets are hash-sampled and carry
 // hop logs (see telemetry.FlowCollector). Call while the network is
 // quiescent — before the first RunUntil, or between runs — never
-// mid-run. Unlike the Chrome tracer, flow tracing works sharded: every
-// hook writes only packet-owned or shard-owned single-writer state, and
-// the collector merges at quiescent points, so traced Results stay
+// mid-run. It is the network's one packet tracer, and it works at any
+// shard count: every hook writes only packet-owned or shard-owned
+// single-writer state, and the collector merges at quiescent points, so
+// traced Results, and the Chrome trace rendered from them, stay
 // byte-identical across shard counts.
 func (n *Network) SetFlowCollector(fc *telemetry.FlowCollector) {
 	n.flow = fc

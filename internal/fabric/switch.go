@@ -383,11 +383,6 @@ func (h *Host) deliver(pkt *Packet, now sim.Time) {
 	}
 	h.rt.deliveredPkts++
 	h.rt.deliveredBytes += int64(pkt.Size)
-	if h.net.Tracer != nil {
-		h.net.Tracer.AsyncSpan("pkt", "packet", telemetry.PIDPackets, pkt.ID,
-			pkt.Inject, now, fmt.Sprintf(`"src":%d,"dst":%d,"bytes":%d,"hops":%d`,
-				pkt.Src, pkt.Dst, pkt.Size, pkt.Hops))
-	}
 	if h.net.OnDeliver != nil {
 		h.net.OnDeliver(pkt, now)
 	}

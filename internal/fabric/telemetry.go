@@ -23,13 +23,6 @@ func (c *Chan) Label() string {
 	return fmt.Sprintf("%s-%s", endpointLabel(c.Src), endpointLabel(c.Dst))
 }
 
-// MetricName returns the channel's stable hierarchical metric prefix,
-// e.g. "link.s0p1-s1p0" (legacy dotted form; labeled series use
-// Label).
-func (c *Chan) MetricName() string {
-	return "link." + c.Label()
-}
-
 // RegisterMetrics registers the fabric's observable state with a
 // telemetry registry. Whole-fabric aggregates are plain gauges;
 // per-entity series are labeled vectors keyed by switch, port, and

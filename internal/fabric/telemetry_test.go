@@ -23,9 +23,6 @@ func TestChanLabel(t *testing.T) {
 		if !strings.HasPrefix(label, "s") || !strings.Contains(label, "-s") {
 			t.Errorf("inter-switch label %q should name two switch ports", label)
 		}
-		if ch.MetricName() != "link."+label {
-			t.Errorf("MetricName %q does not match label %q", ch.MetricName(), label)
-		}
 	}
 }
 

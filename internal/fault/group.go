@@ -6,7 +6,6 @@ import (
 
 	"epnet/internal/fabric"
 	"epnet/internal/sim"
-	"epnet/internal/telemetry"
 )
 
 // Group is a correlated failure domain: a set of switches and/or link
@@ -94,10 +93,6 @@ func (inj *Injector) FailGroup(now sim.Time, g Group) int {
 			failed++
 		}
 	}
-	if failed > 0 && inj.Tracer != nil {
-		inj.Tracer.Instant("fail-group", "fault", telemetry.PIDFaults, 0, now,
-			fmt.Sprintf(`"group":%q,"members":%d`, g.Name, failed))
-	}
 	return failed
 }
 
@@ -116,10 +111,6 @@ func (inj *Injector) RepairGroup(now sim.Time, g Group) int {
 			inj.Stats.LinkRepairs++
 			repaired++
 		}
-	}
-	if repaired > 0 && inj.Tracer != nil {
-		inj.Tracer.Instant("repair-group", "fault", telemetry.PIDFaults, 0, now,
-			fmt.Sprintf(`"group":%q,"members":%d`, g.Name, repaired))
 	}
 	return repaired
 }

@@ -62,10 +62,6 @@ type Injector struct {
 	// controller, so the caller sets the ladder maximum here.
 	RestoreRate link.Rate
 
-	// Tracer, when set, receives fault instants and per-link outage
-	// spans on the telemetry.PIDFaults track.
-	Tracer *telemetry.Tracer
-
 	// Guard, when set, vetoes random fault targets: StartRandom and
 	// FailRandomLinks skip pairs for which it returns false. Run-level
 	// code installs a connectivity guard here (e.g. "both endpoints
@@ -231,10 +227,6 @@ func (inj *Injector) DegradeLink(now sim.Time, sw, port int, cap link.Rate) bool
 	for _, ch := range pr {
 		ch.L.SetRateCap(now, cap, inj.DegradeReactivation)
 	}
-	if inj.Tracer != nil {
-		inj.Tracer.Instant("degrade-link", "fault", telemetry.PIDFaults, pr[0].Index(), now,
-			fmt.Sprintf(`"link":%q,"cap_gbps":%g`, pr[0].Label(), cap.GbpsF()))
-	}
 	return true
 }
 
@@ -255,10 +247,6 @@ func (inj *Injector) RestoreLink(now sim.Time, sw, port int) bool {
 			inj.Net.KickSender(ch, now)
 		}
 	}
-	if inj.Tracer != nil {
-		inj.Tracer.Instant("restore-link", "fault", telemetry.PIDFaults, pr[0].Index(), now,
-			fmt.Sprintf(`"link":%q`, pr[0].Label()))
-	}
 	return true
 }
 
@@ -276,10 +264,6 @@ func (inj *Injector) FailSwitch(now sim.Time, sw int) bool {
 	for _, pr := range inj.bySwitch[sw] {
 		inj.failPair(now, pr)
 	}
-	if inj.Tracer != nil {
-		inj.Tracer.Instant("fail-switch", "fault", telemetry.PIDFaults, 0, now,
-			fmt.Sprintf(`"switch":%d`, sw))
-	}
 	return true
 }
 
@@ -295,10 +279,6 @@ func (inj *Injector) RepairSwitch(now sim.Time, sw int) bool {
 	inj.Net.SetSwitchDead(sw, false)
 	for _, pr := range inj.bySwitch[sw] {
 		inj.repairPair(now, pr)
-	}
-	if inj.Tracer != nil {
-		inj.Tracer.Instant("repair-switch", "fault", telemetry.PIDFaults, 0, now,
-			fmt.Sprintf(`"switch":%d`, sw))
 	}
 	return true
 }
@@ -320,10 +300,6 @@ func (inj *Injector) failPair(now sim.Time, pr [2]*fabric.Chan) bool {
 	for _, ch := range pr {
 		inj.Net.Switches[ch.Src.ID].PumpPort(ch.Src.Port, now)
 	}
-	if inj.Tracer != nil {
-		inj.Tracer.Instant("fail-link", "fault", telemetry.PIDFaults, pr[0].Index(), now,
-			fmt.Sprintf(`"link":%q`, pr[0].Label()))
-	}
 	return true
 }
 
@@ -339,11 +315,6 @@ func (inj *Injector) repairPair(now sim.Time, pr [2]*fabric.Chan) bool {
 	for _, ch := range pr {
 		inj.Masker.SetDead(ch.Src.ID, ch.Src.Port, false)
 		inj.Net.RepairChan(ch, now, ch.L.ClampRate(inj.RepairRate), inj.RepairReactivation)
-	}
-	if inj.Tracer != nil {
-		start := inj.downAt[pr]
-		inj.Tracer.Complete("outage", "fault", telemetry.PIDFaults, pr[0].Index(),
-			start, now-start, fmt.Sprintf(`"link":%q`, pr[0].Label()))
 	}
 	delete(inj.downAt, pr)
 	return true

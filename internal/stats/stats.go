@@ -42,8 +42,15 @@ func bucketOf(d sim.Time) int {
 	return int(math.Floor(math.Log2(float64(d)) * bucketsPerOctave))
 }
 
+// bucketUpper returns bucket b's upper bound, saturated at the largest
+// sim.Time: the top buckets' bounds pass the int64 range, where the
+// float conversion is undefined (MinInt64 on amd64).
 func bucketUpper(b int) sim.Time {
-	return sim.Time(math.Exp2(float64(b+1) / bucketsPerOctave))
+	u := math.Exp2(float64(b+1) / bucketsPerOctave)
+	if u >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return sim.Time(u)
 }
 
 // cells walks the occupied cells in ascending order, the underflow cell

@@ -231,6 +231,33 @@ func TestLatencyBuckets(t *testing.T) {
 	}
 }
 
+// TestLatencyTopBuckets: samples near the clock's limit land in the top
+// buckets, whose bounds pass the int64 range and must saturate rather
+// than wrap negative.
+func TestLatencyTopBuckets(t *testing.T) {
+	l := NewLatency()
+	const huge = sim.Time(math.MaxInt64 - 5)
+	for range 10 {
+		l.Add(huge)
+	}
+	l.Add(1000)
+	if got := l.Percentile(99); got != huge {
+		t.Errorf("p99 = %d ps, want %d", got, huge)
+	}
+	prev := sim.Time(0)
+	for _, b := range l.Buckets() {
+		if b.Upper <= 0 || b.Upper < prev {
+			t.Errorf("bucket bound %d ps after %d: want positive and non-decreasing", b.Upper, prev)
+		}
+		prev = b.Upper
+	}
+	for b := range numBuckets {
+		if bucketUpper(b) <= 0 {
+			t.Errorf("bucketUpper(%d) = %d", b, bucketUpper(b))
+		}
+	}
+}
+
 func TestBar(t *testing.T) {
 	if Bar(0.5, 10) != "#####" {
 		t.Errorf("Bar(0.5,10) = %q", Bar(0.5, 10))
@@ -247,7 +274,9 @@ func TestBar(t *testing.T) {
 }
 
 // refLatency is the map-keyed histogram that Latency's fixed array
-// replaced, kept as the reference the array must reproduce exactly.
+// replaced, kept as the reference the array must reproduce exactly. Its
+// top bounds saturate at the largest sim.Time, as the array's do; the
+// map version wrapped them negative.
 type refLatency struct {
 	count    int64
 	min, max sim.Time
@@ -271,7 +300,10 @@ func refUpper(b int) sim.Time {
 	if b == refUnderflow {
 		return 0
 	}
-	return sim.Time(math.Exp2(float64(b+1) / bucketsPerOctave))
+	if u := math.Exp2(float64(b+1) / bucketsPerOctave); u < math.MaxInt64 {
+		return sim.Time(u)
+	}
+	return math.MaxInt64
 }
 
 func (r *refLatency) add(d sim.Time) {

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -456,4 +458,107 @@ func (r *FlowTraceReport) WriteCSV(w io.Writer) error {
 		fmt.Fprintf(bw, ",%.4f\n", c.EnergyPJPerBit)
 	}
 	return bw.Flush()
+}
+
+// Chrome trace process IDs: the viewer groups tracks by process.
+const (
+	chromePackets = 1
+	chromeFaults  = 2
+)
+
+// chromeEvent is one object of the Chrome trace_event format's JSON
+// array form. Times are microseconds, the format's unit.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	ID   int64          `json:"id,omitempty"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// WriteChrome writes the report as a Chrome trace_event JSON array, for
+// chrome://tracing or https://ui.perfetto.dev. The "packets" process
+// has one track per packet the report carries: the exemplars, then the
+// dropped packets of the dumps. A track holds the packet's async "pkt"
+// span, from injection to delivery or drop, and one span per hop, laid
+// end to end, whose nonzero latency components are its child spans.
+// The hop log records how long each component lasted, not when, so the
+// children of a hop run in component order: queue, credit, retune,
+// busy, cut-through, serialize, wire, route. The "faults" process has
+// one instant per dump. Like the report, the file is byte-identical
+// across shard counts.
+func (r *FlowTraceReport) WriteChrome(w io.Writer) error {
+	us := func(ps int64) float64 { return float64(ps) / 1e6 }
+	events := []chromeEvent{
+		{Name: "process_name", Ph: "M", Pid: chromePackets, Args: map[string]any{"name": "packets"}},
+		{Name: "process_name", Ph: "M", Pid: chromeFaults, Args: map[string]any{"name": "faults"}},
+	}
+	var packets []*FlowPacket
+	for i := range r.Exemplars {
+		packets = append(packets, &r.Exemplars[i])
+	}
+	for _, d := range r.Dumps {
+		ev := chromeEvent{Name: d.Reason, Cat: "fault", Ph: "i", Ts: us(d.AtPs), Pid: chromeFaults}
+		if d.Packet != nil {
+			packets = append(packets, d.Packet)
+			ev.Args = map[string]any{"pkt": d.Packet.ID}
+		}
+		events = append(events, ev)
+	}
+	for i, p := range packets {
+		tid := i + 1
+		track := fmt.Sprintf("pkt %d %s->%s", p.ID, p.Src, p.Dst)
+		if p.Dropped {
+			track += " dropped: " + p.DropWhy
+		}
+		events = append(events,
+			chromeEvent{Name: "thread_name", Ph: "M", Pid: chromePackets, Tid: tid,
+				Args: map[string]any{"name": track}},
+			chromeEvent{Name: "pkt", Cat: "packet", Ph: "b", ID: p.ID, Ts: us(p.InjectPs),
+				Pid: chromePackets, Tid: tid,
+				Args: map[string]any{"src": p.Src, "dst": p.Dst, "bytes": p.Size, "hops": len(p.Hops) - 1}},
+			chromeEvent{Name: "pkt", Cat: "packet", Ph: "e", ID: p.ID, Ts: us(p.DonePs),
+				Pid: chromePackets, Tid: tid})
+		at := p.InjectPs
+		for _, h := range p.Hops {
+			total := h.Breakdown.TotalPs()
+			if total == 0 {
+				continue
+			}
+			hop := chromeEvent{Name: h.Node, Cat: "hop", Ph: "X", Ts: us(at), Dur: us(total),
+				Pid: chromePackets, Tid: tid}
+			if h.Chan != "" {
+				hop.Args = map[string]any{"chan": h.Chan}
+			}
+			events = append(events, hop)
+			for c, v := range h.Breakdown.components() {
+				if v > 0 {
+					events = append(events, chromeEvent{Name: flowComponentNames[c], Cat: "latency",
+						Ph: "X", Ts: us(at), Dur: us(v), Pid: chromePackets, Tid: tid})
+					at += v
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	buf.WriteString("[")
+	for i := range events {
+		if i > 0 {
+			buf.WriteString(",")
+		}
+		buf.WriteString("\n")
+		if err := enc.Encode(&events[i]); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode ends each event with a newline
+	}
+	buf.WriteString("\n]\n")
+	_, err := w.Write(buf.Bytes())
+	return err
 }

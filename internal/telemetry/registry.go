@@ -1,13 +1,14 @@
 // Package telemetry is the simulator's observability substrate: a
 // metrics registry components register named counters and gauges into,
 // a periodic sampler that streams those metrics as CSV or JSON Lines
-// rows as they are taken, and an event tracer emitting Chrome
-// trace_event JSON for inspection in chrome://tracing or Perfetto.
+// rows as they are taken, and the flow tracer, whose report renders as
+// JSON, CSV, text, and Chrome trace_event JSON for chrome://tracing or
+// Perfetto.
 //
 // The design constraint throughout is that the instrumented hot path
 // pays nothing when telemetry is disabled: counters and gauges are
 // nil-safe (a nil *Counter's Inc is a branch and a return), metric
-// reads happen only when the sampler fires, and trace emission sits
+// reads happen only when the sampler fires, and flow tracing sits
 // behind a single nil check at each instrumentation point. Increments
 // and sets never allocate (see BenchmarkCounterInc and the
 // zero-allocation test).

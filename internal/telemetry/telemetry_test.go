@@ -365,77 +365,3 @@ func FuzzAppendValue(f *testing.F) {
 		}
 	})
 }
-
-// TestTracerJSONRoundTrip validates the emitted Chrome trace against
-// encoding/json: the full stream must parse as an array of objects
-// with the trace_event schema's fields.
-func TestTracerJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	tr.MetaProcessName(PIDPackets, "packets")
-	tr.MetaThreadName(PIDLinks, 0, `link "s0p1->s1p0"`) // quotes must escape
-	tr.Complete("2.5Gb/s->5Gb/s", "retune", PIDLinks, 0,
-		10*sim.Microsecond, sim.Microsecond, `"from_gbps":2.5,"to_gbps":5`)
-	tr.Instant("inject", "traffic", PIDPackets, 3, 1500*sim.Nanosecond, `"bytes":2048`)
-	tr.AsyncSpan("pkt", "packet", PIDPackets, 42,
-		sim.Microsecond, 3*sim.Microsecond, `"src":1,"dst":2`)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Events() != 6 { // async span = 2 events
-		t.Errorf("events = %d, want 6", tr.Events())
-	}
-
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(events) != 6 {
-		t.Fatalf("parsed %d events, want 6", len(events))
-	}
-	// Spot-check the complete event's schema and precision.
-	var retune map[string]any
-	for _, ev := range events {
-		if ev["ph"] == "X" {
-			retune = ev
-		}
-	}
-	if retune == nil {
-		t.Fatal("no complete event found")
-	}
-	if retune["ts"].(float64) != 10 || retune["dur"].(float64) != 1 {
-		t.Errorf("ts/dur = %v/%v, want 10/1 us", retune["ts"], retune["dur"])
-	}
-	args := retune["args"].(map[string]any)
-	if args["to_gbps"].(float64) != 5 {
-		t.Errorf("args = %v", args)
-	}
-	// Begin/end async events pair up by id.
-	var b, e int
-	for _, ev := range events {
-		switch ev["ph"] {
-		case "b":
-			b++
-		case "e":
-			e++
-		}
-	}
-	if b != 1 || e != 1 {
-		t.Errorf("async begin/end = %d/%d, want 1/1", b, e)
-	}
-}
-
-func TestTracerEmptyClose(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("empty trace invalid: %v", err)
-	}
-	if len(events) != 0 {
-		t.Errorf("empty trace has %d events", len(events))
-	}
-}

@@ -45,73 +45,35 @@ var utilBuckets = []float64{
 }
 
 // observer wires a run's optional telemetry: the metrics sampler
-// behind Config.MetricsOut, the Chrome trace stream behind
-// Config.TraceOut, the utilization heatmap and histogram behind
-// Config.HeatmapOut/HistOut, and the live-inspection publisher behind
-// Config.Inspector. newObserver returns nil when everything is
+// behind Config.MetricsOut, the utilization heatmap and histogram
+// behind Config.HeatmapOut/HistOut, and the live-inspection publisher
+// behind Config.Inspector. newObserver returns nil when everything is
 // disabled, so Run pays nothing for observability it did not ask for.
 type observer struct {
 	*run
-	flowChans   []string
-	reg         *telemetry.Registry
-	sampler     *telemetry.Sampler
-	metricsFile *os.File
-	heatmap     *telemetry.Heatmap
-	tracer      *telemetry.Tracer
-	traceFile   *os.File
-	snapBuf     bytes.Buffer
-	promBuf     bytes.Buffer
-	profBuf     bytes.Buffer
-	flowBuf     bytes.Buffer
-	done        bool
+	flowChans []string
+	reg       *telemetry.Registry
+	sampler   *telemetry.Sampler
+	heatmap   *telemetry.Heatmap
+	snapBuf   bytes.Buffer
+	promBuf   bytes.Buffer
+	profBuf   bytes.Buffer
+	flowBuf   bytes.Buffer
+	done      bool
 }
 
 // newObserver builds and starts the telemetry the run's config asks
-// for. The trace and metrics files are created here, so a bad path
-// fails before the first event. The sampler writes its header and
-// baseline immediately (at the engine's current time, normally 0) and
-// streams a row every tick until the horizon; the tracer is attached to
-// the network, controller and injector. On error, every file already
-// created is closed.
-func newObserver(r *run) (_ *observer, err error) {
+// for. The sampler writes its header and baseline into the metrics
+// file immediately (at the engine's current time, normally 0) and
+// streams a row every tick until the horizon.
+func newObserver(r *run) (*observer, error) {
 	cfg, net := r.cfg, r.net
-	if cfg.MetricsOut == "" && cfg.TraceOut == "" && cfg.HeatmapOut == "" &&
-		cfg.HistOut == "" && cfg.Inspector == nil {
+	if cfg.MetricsOut == "" && cfg.HeatmapOut == "" && cfg.HistOut == "" && cfg.Inspector == nil {
 		return nil, nil
 	}
 	o := &observer{run: r}
 	if r.flow != nil && cfg.Inspector != nil {
 		o.flowChans = chanLabels(net)
-	}
-	defer func() {
-		if err != nil {
-			for _, f := range []*os.File{o.traceFile, o.metricsFile} {
-				if f != nil {
-					f.Close()
-				}
-			}
-		}
-	}()
-	if cfg.TraceOut != "" {
-		f, ferr := os.Create(cfg.TraceOut)
-		if ferr != nil {
-			return nil, fmt.Errorf("epnet: creating trace output: %w", ferr)
-		}
-		o.traceFile = f
-		o.tracer = telemetry.NewTracer(f)
-		o.tracer.MetaProcessName(telemetry.PIDPackets, "packets")
-		o.tracer.MetaProcessName(telemetry.PIDLinks, "links")
-		for _, ch := range net.Channels() {
-			o.tracer.MetaThreadName(telemetry.PIDLinks, ch.Index(), ch.MetricName())
-		}
-		net.Tracer = o.tracer
-		if r.ctrl != nil {
-			r.ctrl.Tracer = o.tracer
-		}
-		if r.inj != nil {
-			o.tracer.MetaProcessName(telemetry.PIDFaults, "faults")
-			r.inj.Tracer = o.tracer
-		}
 	}
 	if cfg.HeatmapOut != "" || cfg.HistOut != "" {
 		h, herr := telemetry.NewHeatmap(simTime(cfg.SampleInterval))
@@ -185,16 +147,12 @@ func newObserver(r *run) (_ *observer, err error) {
 		// An inspector-only run passes no sink: its sampler only paces
 		// the publisher.
 		var sink io.Writer
+		if f := r.out[outMetrics]; f != nil {
+			sink = f
+		}
 		enc := telemetry.CSV
-		if cfg.MetricsOut != "" {
-			f, ferr := os.Create(cfg.MetricsOut)
-			if ferr != nil {
-				return nil, fmt.Errorf("epnet: creating metrics output: %w", ferr)
-			}
-			o.metricsFile, sink = f, f
-			if strings.HasSuffix(cfg.MetricsOut, ".jsonl") {
-				enc = telemetry.JSONL
-			}
+		if strings.HasSuffix(cfg.MetricsOut, ".jsonl") {
+			enc = telemetry.JSONL
 		}
 		s, serr := telemetry.NewSampler(reg, simTime(cfg.SampleInterval), sink, enc)
 		if serr != nil {
@@ -339,12 +297,11 @@ func (o *observer) snapshot(now sim.Time) *snapshotDoc {
 
 // finish takes the final (possibly partial-interval) samples, flushes
 // and closes the metrics stream, writes the heatmap/histogram files,
-// publishes the final inspection documents, and terminates the trace
-// stream. Safe on a nil observer and idempotent: Run calls it on error
-// paths too, so a canceled run still flushes and closes everything it
-// opened — its metrics file keeps every row sampled so far — and write
-// failures (including a sampler or tracer that latched an earlier
-// disk-full error) are all reported.
+// and publishes the final inspection documents. Safe on a nil observer
+// and idempotent: Run calls it on error paths too, so a canceled run
+// still flushes and closes everything it opened — its metrics file
+// keeps every row sampled so far — and write failures (including a
+// sampler that latched an earlier disk-full error) are all reported.
 func (o *observer) finish(now sim.Time) error {
 	if o == nil || o.done {
 		return nil
@@ -352,55 +309,100 @@ func (o *observer) finish(now sim.Time) error {
 	o.done = true
 	var errs []error
 	if o.sampler != nil {
+		// The sampler streamed into the metrics file, if any; Finish
+		// writes its last row and publishes the final inspection
+		// documents, so it runs either way.
 		err := o.sampler.Finish(now)
-		if o.metricsFile != nil {
-			if cerr := o.metricsFile.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("epnet: writing metrics: %w", err))
-		}
+		errs = append(errs, o.out.write(outMetrics, "metrics", func(io.Writer) error { return err }))
 	}
 	if o.heatmap != nil {
 		o.heatmap.Finish(now)
-		if o.cfg.HeatmapOut != "" {
-			if err := writeFile(o.cfg.HeatmapOut, o.heatmap.WriteCSV); err != nil {
-				errs = append(errs, fmt.Errorf("epnet: writing heatmap: %w", err))
-			}
-		}
-		if o.cfg.HistOut != "" {
-			hist, err := o.heatmap.UtilizationHistogram(utilBuckets)
-			if err == nil {
-				err = writeFile(o.cfg.HistOut, hist.WriteCSV)
-			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("epnet: writing utilization histogram: %w", err))
-			}
-		}
-	}
-	if o.tracer != nil {
-		terr := o.tracer.Close()
-		if cerr := o.traceFile.Close(); terr == nil {
-			terr = cerr
-		}
-		if terr != nil {
-			errs = append(errs, fmt.Errorf("epnet: writing trace: %w", terr))
-		}
+		errs = append(errs, o.out.write(outHeatmap, "heatmap", o.heatmap.WriteCSV),
+			o.out.write(outHist, "utilization histogram", func(w io.Writer) error {
+				hist, err := o.heatmap.UtilizationHistogram(utilBuckets)
+				if err != nil {
+					return err
+				}
+				return hist.WriteCSV(w)
+			}))
 	}
 	return errors.Join(errs...)
 }
 
-// writeFile creates path and streams write into it, reporting create,
-// write and close errors alike.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+// The run's output files, indexed in Config.outputPaths order. Every
+// one is created when the run is set up, so a bad path fails before the
+// first event. The metrics file streams as the run goes; collect writes
+// the others when it ends.
+const (
+	outMetrics = iota
+	outTrace
+	outHeatmap
+	outHist
+	outProfile
+	outFlows
+	numOutputs
+)
+
+// outputs holds a run's open output files, nil where the config names
+// no path.
+type outputs [numOutputs]*os.File
+
+// openOutputs creates every output file cfg names, closing the ones
+// already created when one fails.
+func openOutputs(cfg *Config) (outputs, error) {
+	var out outputs
+	for i, path := range cfg.outputPaths() {
+		if *path == "" {
+			continue
+		}
+		f, err := os.Create(*path)
+		if err != nil {
+			out.close()
+			return outputs{}, fmt.Errorf("epnet: creating output: %w", err)
+		}
+		out[i] = f
+	}
+	return out, nil
+}
+
+// write renders output i into its file and closes it, reporting write
+// and close errors alike; a no-op when the run has no such file. what
+// names the output in the error.
+func (out *outputs) write(i int, what string, render func(io.Writer) error) error {
+	f := out[i]
+	if f == nil {
+		return nil
+	}
+	out[i] = nil
+	err := render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("epnet: writing %s: %w", what, err)
 	}
-	werr := write(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	return nil
+}
+
+// close closes every file not yet written.
+func (out *outputs) close() {
+	for i, f := range out {
+		if f != nil {
+			f.Close()
+			out[i] = nil
+		}
 	}
-	return werr
+}
+
+// jsonOrCSV returns the writer an output path asks for: csv when the
+// path ends in ".csv", indented JSON of v otherwise.
+func jsonOrCSV(path string, v any, csv func(io.Writer) error) func(io.Writer) error {
+	if strings.HasSuffix(path, ".csv") {
+		return csv
+	}
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	}
 }

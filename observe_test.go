@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,20 +98,16 @@ func TestRunWritesMetricsJSONL(t *testing.T) {
 	}
 }
 
-// TestOutputPathErrorsFailBeforeRun: the metrics and trace files are
-// created when the run is set up, so a path in a missing directory
-// fails at once instead of after a run that would take minutes.
+// TestOutputPathErrorsFailBeforeRun: every output file is created when
+// the run is set up, so a path in a missing directory fails at once
+// instead of after a run that would take minutes.
 func TestOutputPathErrorsFailBeforeRun(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
-	for _, field := range []string{"MetricsOut", "TraceOut"} {
+	for _, field := range []string{"MetricsOut", "TraceOut", "HeatmapOut", "HistOut", "ProfileOut", "FlowsOut"} {
 		t.Run(field, func(t *testing.T) {
 			cfg := observeConfig()
 			cfg.Duration = time.Minute // minutes of wall time if it ran
-			if field == "MetricsOut" {
-				cfg.MetricsOut = missing
-			} else {
-				cfg.TraceOut = missing
-			}
+			reflect.ValueOf(&cfg).Elem().FieldByName(field).SetString(missing)
 			start := time.Now()
 			_, err := Run(cfg)
 			if !errors.Is(err, fs.ErrNotExist) {

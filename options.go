@@ -63,7 +63,7 @@ func WithSeed(seed int64) Option {
 // WithShards partitions the simulation across n windowed workers (see
 // Config.Shards): 0 = auto (one per 4,096 hosts, at most one per CPU,
 // so serial below 8,192 hosts), 1 = serial. Results stay byte-identical
-// to the serial run.
+// to the serial run, the flow report and its Chrome trace included.
 func WithShards(n int) Option {
 	return func(cfg *Config) { cfg.Shards = n }
 }

@@ -1,11 +1,8 @@
 package epnet
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"strings"
 	"time"
 
 	"epnet/internal/sim"
@@ -25,23 +22,6 @@ type (
 	// ShardProfile is one shard's aggregate of the engine self-profile.
 	ShardProfile = telemetry.ShardProfile
 )
-
-// writeProfileOut writes the profile to path: CSV when the path ends in
-// ".csv", indented JSON otherwise.
-func writeProfileOut(path string, p *EngineProfile) error {
-	write := func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(p)
-	}
-	if strings.HasSuffix(path, ".csv") {
-		write = p.WriteCSV
-	}
-	if err := writeFile(path, write); err != nil {
-		return fmt.Errorf("epnet: writing profile: %w", err)
-	}
-	return nil
-}
 
 // PartitionInfo describes the shard partition a configuration would
 // run with, without running it: how the switches split, how many

@@ -159,6 +159,7 @@ type run struct {
 	dyn             *core.DynTopo
 	inj             *fault.Injector
 	acct            *phaseAccounting
+	out             outputs
 	obs             *observer
 	sample          sim.Event // the power-trace sampler, scheduled by drive
 
@@ -190,7 +191,8 @@ func (r *run) ladder() link.RateLadder { return r.net.Cfg.Ladder }
 // steers the network on it, in the order their start-up events must be
 // scheduled: profiler, flow collector, controller, dynamic topology,
 // fault injector, phase accounting, observer, and the delivery hook and
-// power sampler they feed.
+// power sampler they feed. The output files are created just before
+// the observer that streams into one of them.
 func (r *run) attach() error {
 	cfg, net := r.cfg, r.net
 
@@ -244,6 +246,9 @@ func (r *run) attach() error {
 		r.rec.byPhase(r.plan)
 	}
 
+	if r.out, err = openOutputs(&r.cfg); err != nil {
+		return err
+	}
 	// The controller's epoch tick is already scheduled, so on coincident
 	// timestamps the sampler observes post-retune link state (the engine
 	// breaks ties FIFO).
@@ -464,9 +469,9 @@ func (r *run) drive(ctx context.Context) error {
 }
 
 // collect finishes the observer, builds the Result when the run
-// succeeded, and writes the flow-trace and profile files either way.
-// A failed run's flow trace carries no energy join: per-channel
-// energies exist only for a completed window.
+// succeeded, and writes the flow-trace, Chrome trace and profile files
+// either way. A failed run's flow trace carries no energy join:
+// per-channel energies exist only for a completed window.
 func (r *run) collect(err error) (Result, error) {
 	errs := []error{err, r.obs.finish(r.e.Now())}
 	var res Result
@@ -480,12 +485,15 @@ func (r *run) collect(err error) (Result, error) {
 	if prof == nil && r.eprof != nil {
 		prof = r.eprof.Snapshot()
 	}
-	if flows != nil && r.cfg.FlowsOut != "" {
-		errs = append(errs, writeFlowsOut(r.cfg.FlowsOut, flows))
+	if flows != nil {
+		errs = append(errs,
+			r.out.write(outFlows, "flow trace", jsonOrCSV(r.cfg.FlowsOut, flows, flows.WriteCSV)),
+			r.out.write(outTrace, "trace", flows.WriteChrome))
 	}
-	if prof != nil && r.cfg.ProfileOut != "" {
-		errs = append(errs, writeProfileOut(r.cfg.ProfileOut, prof))
+	if prof != nil {
+		errs = append(errs, r.out.write(outProfile, "profile", jsonOrCSV(r.cfg.ProfileOut, prof, prof.WriteCSV)))
 	}
+	r.out.close()
 	if err := errors.Join(errs...); err != nil {
 		return Result{}, err
 	}
