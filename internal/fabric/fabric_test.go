@@ -246,7 +246,7 @@ func TestAdaptiveSpreading(t *testing.T) {
 	perDim := map[int]int64{}
 	sw0 := n.Switches[0]
 	for p := f.C; p < f.Radix(); p++ {
-		if ch := sw0.out[p]; ch != nil {
+		if ch := sw0.ports[p].out; ch != nil {
 			perDim[f.PortDim(p)] += ch.L.TotalPackets()
 		}
 	}
@@ -328,7 +328,7 @@ func TestRerouteOnPowerOff(t *testing.T) {
 	e.At(2*sim.Microsecond, func(now sim.Time) {
 		sw0 := n.Switches[0]
 		for p := f.C; p < f.Radix(); p++ {
-			if ch := sw0.out[p]; ch != nil && sw0.QueuedPackets(p) > 0 {
+			if ch := sw0.ports[p].out; ch != nil && sw0.QueuedPackets(p) > 0 {
 				ch.L.PowerOff(now)
 				sw0.pumpOut(p, now)
 				break
