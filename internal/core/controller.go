@@ -206,7 +206,7 @@ func (c *Controller) tick(now sim.Time) {
 			if c.skip(pair[0]) {
 				continue
 			}
-			a, b := pair[0].L, pair[1].L
+			a, b := &pair[0].L, &pair[1].L
 			if a.State(now) == link.Off || b.State(now) == link.Off {
 				continue // dynamic topology owns powered-off links
 			}
@@ -242,7 +242,7 @@ func (c *Controller) tick(now sim.Time) {
 			if c.skip(ch) {
 				continue
 			}
-			l := ch.L
+			l := &ch.L
 			if l.State(now) == link.Off {
 				continue
 			}

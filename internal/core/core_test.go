@@ -174,12 +174,12 @@ func TestControllerLoadedStaysFast(t *testing.T) {
 	e.RunUntil(200 * sim.Microsecond)
 
 	// The source host's uplink must still be at a high rate.
-	up := n.Hosts[0].Uplink().L
+	up := &n.Hosts[0].Uplink().L
 	if up.Rate() < link.Rate20G {
 		t.Errorf("loaded uplink detuned to %v", up.Rate())
 	}
 	// A far-away idle host's uplink must be at minimum.
-	idle := n.Hosts[63].Uplink().L
+	idle := &n.Hosts[63].Uplink().L
 	if idle.Rate() != link.Rate2_5G {
 		t.Errorf("idle uplink at %v, want 2.5G", idle.Rate())
 	}

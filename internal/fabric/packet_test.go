@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"math/bits"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -246,13 +247,54 @@ func TestMsgWindow(t *testing.T) {
 }
 
 // TestHotLayout pins the sizes the packet path is built around: a
-// Packet fills one 64-byte cache line (and Go's 64-byte size class),
-// and a queue header is 32 bytes, so neither can grow unnoticed.
+// Packet fills one 64-byte cache line (and Go's 64-byte size class), a
+// queue header is 32 bytes and a port record 64, so none can grow
+// unnoticed. It also pins where a send reads a channel: every Chan
+// field and every field of the link.Channel it holds that a send
+// (pumpOut, takeCredits, StartTransmit, deliverAcross) reads lies in
+// the record's first two cache lines, and the record is a whole number
+// of lines, so those two stay whole in a line-aligned backing array.
 func TestHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 64 {
 		t.Errorf("Packet is %d bytes, want 64", got)
 	}
 	if got := unsafe.Sizeof(fifo[*Packet]{}); got != 32 {
 		t.Errorf("fifo header is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(port{}); got != 64 {
+		t.Errorf("port is %d bytes, want 64", got)
+	}
+
+	const line = 64
+	var c Chan
+	if got := unsafe.Sizeof(c); got%line != 0 {
+		t.Errorf("Chan is %d bytes, not a whole number of %d-byte lines", got, line)
+	}
+	type field struct {
+		name      string
+		off, size uintptr
+	}
+	send := []field{
+		{"credits", unsafe.Offsetof(c.credits), unsafe.Sizeof(c.credits)},
+		{"srcRT", unsafe.Offsetof(c.srcRT), unsafe.Sizeof(c.srcRT)},
+		{"dstRT", unsafe.Offsetof(c.dstRT), unsafe.Sizeof(c.dstRT)},
+		{"srcLane", unsafe.Offsetof(c.srcLane), unsafe.Sizeof(c.srcLane)},
+		{"idx", unsafe.Offsetof(c.idx), unsafe.Sizeof(c.idx)},
+		{"sameShard", unsafe.Offsetof(c.sameShard), unsafe.Sizeof(c.sameShard)},
+		{"toSwitch", unsafe.Offsetof(c.toSwitch), unsafe.Sizeof(c.toSwitch)},
+	}
+	lt := reflect.TypeOf(&c.L).Elem()
+	for _, name := range []string{"state", "kbitTime", "reconfigUntil", "busyUntil",
+		"busyBase", "curStart", "curEnd", "totalBytes", "totalPackets"} {
+		f, ok := lt.FieldByName(name)
+		if !ok {
+			t.Fatalf("link.Channel has no field %s", name)
+		}
+		send = append(send, field{"L." + name, unsafe.Offsetof(c.L) + f.Offset, f.Type.Size()})
+	}
+	for _, f := range send {
+		if f.off+f.size > 2*line {
+			t.Errorf("Chan.%s at bytes [%d, %d) leaves the first two cache lines", f.name, f.off, f.off+f.size)
+		}
 	}
 }

@@ -263,27 +263,45 @@ func (o Occupancy) OffFraction() float64 {
 // energy-proportional controller reconfigures it. All methods take the
 // current simulation time explicitly so the channel composes with any
 // scheduler.
+//
+// The fields a transmission reads and writes (AvailableAt,
+// TransmitTime, StartTransmit) come first, in the leading 72 bytes, so
+// a container that holds the channel by value can place them in the
+// same cache lines as its own per-packet state. A Channel must not be
+// copied once in use: go vet's copylocks check flags a copy.
 type Channel struct {
+	noCopy noCopy
+
+	state State
+	// kbitTime is rate.kbitTime(), refreshed with every write of rate,
+	// so a send costs no 64-bit division.
+	kbitTime sim.Time
+	// reconfigUntil is when the current reactivation completes.
+	reconfigUntil sim.Time
+	// busyUntil is when the in-flight transmission completes.
+	busyUntil sim.Time
+
+	// Busy-time accounting. Utilization is measured as the fraction of
+	// epoch time the channel spent serializing bits, which pro-rates
+	// transmissions that straddle epoch boundaries (a 2 KB packet at
+	// 2.5 Gb/s takes 6.5 us — longer than a short epoch).
+	busyBase         sim.Time // completed transmissions' total busy time
+	curStart, curEnd sim.Time // the in-flight (or last) transmission
+
+	totalBytes   int64
+	totalPackets int64
+
+	rate Rate
+
 	// Identity, for reports.
 	Name string
 
 	ladder RateLadder
-	rate   Rate
-	// kbitTime is rate.kbitTime(), refreshed with every write of rate,
-	// so a send costs no 64-bit division.
-	kbitTime sim.Time
-	state    State
 
 	// cap, when non-zero, pins the channel at or below this rate: a
 	// degraded lane keeps the SerDes from training its full mode
 	// (fault injection). SetRate and PowerOn clamp against it.
 	cap Rate
-
-	// reconfigUntil is when the current reactivation completes.
-	reconfigUntil sim.Time
-
-	// busyUntil is when the in-flight transmission completes.
-	busyUntil sim.Time
 
 	// Accounting.
 	lastChange     sim.Time
@@ -291,19 +309,19 @@ type Channel struct {
 	atRate         []sim.Time // indexed by ladder rung
 	offTime        sim.Time
 
-	// Epoch utilization accounting. Utilization is measured as the
-	// fraction of epoch time the channel spent serializing bits, which
-	// pro-rates transmissions that straddle epoch boundaries (a 2 KB
-	// packet at 2.5 Gb/s takes 6.5 us — longer than a short epoch).
-	busyBase         sim.Time // completed transmissions' total busy time
-	curStart, curEnd sim.Time // the in-flight (or last) transmission
-	epochBusyMark    sim.Time // busyUpTo at the last ResetEpoch
-	epochResetAt     sim.Time
-
-	bytesThisEpoch int64
-	totalBytes     int64
-	totalPackets   int64
+	// Epoch accounting: the busy time and the byte count at the last
+	// ResetEpoch, and when it ran.
+	epochBusyMark  sim.Time
+	epochBytesMark int64
+	epochResetAt   sim.Time
 }
+
+// noCopy is a zero-size field whose pointer methods make go vet's
+// copylocks check report a copied Channel.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // NewChannel creates an Active channel at the ladder's maximum rate.
 func NewChannel(name string, ladder RateLadder) (*Channel, error) {
@@ -526,7 +544,6 @@ func (c *Channel) StartTransmit(start sim.Time, n int) sim.Time {
 	c.busyUntil = done
 	c.busyBase += c.curEnd - c.curStart
 	c.curStart, c.curEnd = start, done
-	c.bytesThisEpoch += int64(n)
 	c.totalBytes += int64(n)
 	c.totalPackets++
 	return done
@@ -573,11 +590,11 @@ func (c *Channel) EpochUtilization(now sim.Time) float64 {
 
 // EpochBytes returns the bytes whose transmission started in the
 // current epoch.
-func (c *Channel) EpochBytes() int64 { return c.bytesThisEpoch }
+func (c *Channel) EpochBytes() int64 { return c.totalBytes - c.epochBytesMark }
 
 // ResetEpoch starts a new utilization measurement epoch at time now.
 func (c *Channel) ResetEpoch(now sim.Time) {
-	c.bytesThisEpoch = 0
+	c.epochBytesMark = c.totalBytes
 	c.epochBusyMark = c.busyUpTo(now)
 	c.epochResetAt = now
 }
@@ -598,7 +615,7 @@ func (c *Channel) ResetAccounting(now sim.Time) {
 	c.offTime = 0
 	c.totalBytes = 0
 	c.totalPackets = 0
-	c.bytesThisEpoch = 0
+	c.epochBytesMark = 0
 	c.epochBusyMark = c.busyUpTo(now)
 	c.epochResetAt = now
 	c.accountedSince = now

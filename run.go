@@ -370,7 +370,7 @@ func (r *run) meters() (measured, ideal *power.Meter) {
 	if r.measured == nil {
 		chans := make([]*link.Channel, len(r.net.Channels()))
 		for i, ch := range r.net.Channels() {
-			chans[i] = ch.L
+			chans[i] = &ch.L
 		}
 		r.measured = power.NewMeter(power.InfiniBandOptical(), chans)
 		r.ideal = power.NewMeter(power.NewIdeal(r.ladder().Max()), chans)
