@@ -258,6 +258,48 @@ func TestLatencyTopBuckets(t *testing.T) {
 	}
 }
 
+// TestBucketOfMatchesFloat pins bucketOf to the float formula it
+// replaced, floor(8·log2 d), so every positive sample keeps its bucket:
+// at every bucket's lower bound and its two neighbours, at every d
+// below 2^20, at the largest sim.Time, and at random samples spread
+// evenly over the octaves (a uniform bit length, then uniform low
+// bits) and over log2 d.
+func TestBucketOfMatchesFloat(t *testing.T) {
+	check := func(d sim.Time) {
+		t.Helper()
+		want := int(math.Floor(math.Log2(float64(d)) * bucketsPerOctave))
+		if got := bucketOf(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, float formula %d", d, got, want)
+		}
+	}
+	for _, lo := range bucketLower {
+		for _, d := range []uint64{lo - 1, lo, lo + 1} {
+			if d >= 1 && d <= math.MaxInt64 {
+				check(sim.Time(d))
+			}
+		}
+	}
+	check(math.MaxInt64)
+	for d := sim.Time(1); d < 1<<20; d++ {
+		check(d)
+	}
+	n := 1_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range n {
+		bitLen := 1 + rng.Intn(63)
+		top := int64(1) << (bitLen - 1)
+		check(sim.Time(top | rng.Int63n(top)))
+		d := sim.Time(math.MaxInt64)
+		if x := math.Exp2(rng.Float64() * 63); x < math.MaxInt64 {
+			d = sim.Time(max(x, 1))
+		}
+		check(d)
+	}
+}
+
 func TestBar(t *testing.T) {
 	if Bar(0.5, 10) != "#####" {
 		t.Errorf("Bar(0.5,10) = %q", Bar(0.5, 10))
