@@ -73,6 +73,57 @@ func TestRunGridMatchesSerialRuns(t *testing.T) {
 	}
 }
 
+// TestGridRunsEachConfigOnce pins the evaluation's result reuse: a
+// configuration repeated within a grid, or in a later grid of the same
+// evaluation, is simulated once, and every occurrence gets that run's
+// result (the same RateShare map), while a configuration with an
+// Inspector runs every time. Output numbering still counts every
+// configuration.
+func TestGridRunsEachConfigOnce(t *testing.T) {
+	e := tinyEval()
+	c := e.base()
+	other := c
+	other.Workload = WorkloadUniform
+	if other.Workload == c.Workload {
+		other.Workload = WorkloadSearch
+	}
+	same := func(a, b Result) bool {
+		return a.RateShare != nil && reflect.ValueOf(a.RateShare).Pointer() == reflect.ValueOf(b.RateShare).Pointer()
+	}
+	first, err := e.grid([]Config{c, other, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(first[0], first[2]) {
+		t.Error("a configuration repeated within a grid ran twice")
+	}
+	if same(first[0], first[1]) {
+		t.Error("distinct configurations share a result")
+	}
+	later, err := e.grid([]Config{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(later[0], first[0]) {
+		t.Error("a configuration repeated in a later grid ran again")
+	}
+	inspected := c
+	inspected.Inspector = NewInspector()
+	again, err := e.grid([]Config{inspected})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same(again[0], first[0]) {
+		t.Error("a configuration with an Inspector took a stored result")
+	}
+	if !reflect.DeepEqual(again[0].RateShare, first[0].RateShare) {
+		t.Error("the inspected run differs from the stored one")
+	}
+	if *e.runs != 5 {
+		t.Errorf("evaluation numbered %d runs, want 5", *e.runs)
+	}
+}
+
 // TestConcurrentEngines runs several complete simulations at once on
 // their own goroutines — under -race this verifies that independent
 // engines share no mutable state.
