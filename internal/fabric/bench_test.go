@@ -13,52 +13,88 @@ import (
 )
 
 // BenchmarkNetworkThroughput measures raw simulated-packet throughput
-// on an 8-ary 2-flat under uniform random messages. One benchmark op is
-// a steady-state unit — inject 1,024 packets' worth of messages and
-// fully drain the network — so injection, routing, transmission and
-// delivery are all inside the timed region in a fixed proportion, and
-// allocs/op divided by 1,024 is allocations per packet. msg=2KiB offers
-// one-packet messages; msg=64KiB offers 32 messages of 32 packets, each
-// cut into packets at the head of its host's queue.
+// under uniform random messages. One benchmark op is a steady-state
+// unit — inject a fixed batch of messages and fully drain the network —
+// so injection, routing, transmission and delivery are all inside the
+// timed region in a fixed proportion, and allocs/op divided by the
+// packets per op is allocations per packet.
+//
+// msg=2KiB and msg=64KiB run on an 8-ary 2-flat (64 hosts), 1,024
+// packets an op: msg=2KiB offers one-packet messages; msg=64KiB offers
+// 32 messages of 32 packets, each cut into packets at the head of its
+// host's queue. The 64-host fabric's state fits in a 2 MB L2 cache, so
+// these cases cannot see memory layout. fbfly-3k is the paper's 15-ary
+// 3-flat (3,375 hosts), where one hop's reads miss cache: an op is one
+// one-packet message from every host to a uniform random other host,
+// the same messages every op, after 64 untimed ops that grow every
+// queue ring to its peak, so the timed ops allocate nothing.
 func BenchmarkNetworkThroughput(b *testing.B) {
-	const batch = 1024 // packets per op
+	const batch = 1024 // packets per op on the 64-host fabric
+	small := topo.MustFBFLY(8, 2, 8)
 	for _, size := range []int{2 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("msg=%dKiB", size>>10), func(b *testing.B) {
-			e := sim.New()
-			f := topo.MustFBFLY(8, 2, 8)
-			n, err := New(e, f, routing.NewFBFLY(f), DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			msgs := batch / n.PacketsPerMessage(size)
-			rng := rand.New(rand.NewSource(1))
-			inject := func() {
-				for j := 0; j < msgs; j++ {
-					src := rng.Intn(64)
-					dst := rng.Intn(64)
-					if dst == src {
-						dst = (dst + 1) % 64
-					}
-					n.InjectMessage(src, dst, size)
+			msgs := batch / (size / DefaultConfig().MaxPacket)
+			benchThroughput(b, small, size, msgs, 1, func(rng *rand.Rand, _, hosts int) (int, int) {
+				src, dst := rng.Intn(hosts), rng.Intn(hosts)
+				if dst == src {
+					dst = (dst + 1) % hosts
 				}
-				e.Run()
-			}
-			inject() // reach steady state (warm free lists and queues) untimed
-			b.SetBytes(int64(msgs * size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				inject()
-			}
-			b.StopTimer()
-			inj, _ := n.Injected()
-			del, _ := n.Delivered()
-			if inj != del {
-				b.Fatalf("lost packets: %d != %d", inj, del)
-			}
-			b.ReportMetric(float64(del-batch)/b.Elapsed().Seconds(), "pkts/sec")
+				return src, dst
+			})
 		})
 	}
+	b.Run("fbfly-3k", func(b *testing.B) {
+		f := topo.MustFBFLY(15, 3, 15)
+		var dsts []int
+		benchThroughput(b, f, 2<<10, f.NumHosts(), 64, func(rng *rand.Rand, j, hosts int) (int, int) {
+			if dsts == nil {
+				dsts = make([]int, hosts)
+				for src := range dsts {
+					if dsts[src] = rng.Intn(hosts - 1); dsts[src] >= src {
+						dsts[src]++
+					}
+				}
+			}
+			return j, dsts[j]
+		})
+	})
+}
+
+// benchThroughput times ops of msgs size-byte messages on a fresh
+// network over f, each op drained, after warm untimed ops; pick gives
+// message j of an op its source and destination.
+func benchThroughput(b *testing.B, f *topo.FBFLY, size, msgs, warm int, pick func(rng *rand.Rand, j, hosts int) (src, dst int)) {
+	e := sim.New()
+	n, err := New(e, f, routing.NewFBFLY(f), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := n.NumHosts()
+	rng := rand.New(rand.NewSource(1))
+	inject := func() {
+		for j := 0; j < msgs; j++ {
+			src, dst := pick(rng, j, hosts)
+			n.InjectMessage(src, dst, size)
+		}
+		e.Run()
+	}
+	for range warm {
+		inject() // reach steady state (warm free lists and queues) untimed
+	}
+	b.SetBytes(int64(msgs * size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inject()
+	}
+	b.StopTimer()
+	inj, _ := n.Injected()
+	del, _ := n.Delivered()
+	if inj != del {
+		b.Fatalf("lost packets: %d != %d", inj, del)
+	}
+	untimed := int64(warm * msgs * n.PacketsPerMessage(size))
+	b.ReportMetric(float64(del-untimed)/b.Elapsed().Seconds(), "pkts/sec")
 }
 
 // BenchmarkNetworkThroughputFlowTrace is the differential half of the
