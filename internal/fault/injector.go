@@ -284,8 +284,9 @@ func (inj *Injector) RepairSwitch(now sim.Time, sw int) bool {
 }
 
 // failPair is the mechanics of a link failure, shared by link and
-// switch faults: fail both channels, mask both sending ports, then
-// pump both senders so queued packets reroute (or drop).
+// switch faults: fail both channels, mask both sending ports, take one
+// flight-recorder dump for the link, then pump both senders so queued
+// packets reroute (or drop).
 func (inj *Injector) failPair(now sim.Time, pr [2]*fabric.Chan) bool {
 	if pr[0].Failed() {
 		return false
@@ -294,6 +295,13 @@ func (inj *Injector) failPair(now sim.Time, pr [2]*fabric.Chan) bool {
 	for _, ch := range pr {
 		inj.Net.FailChan(ch, now)
 		inj.Masker.SetDead(ch.Src.ID, ch.Src.Port, true)
+	}
+	if fc := inj.Net.FlowCollector(); fc != nil {
+		// Fault injection is a control event (all shards quiescent), so
+		// the flight-recorder rings are safe to merge here. The dump
+		// keeps only transmits before now, so it reads the same whether
+		// it is taken before or after the channels go down.
+		fc.FaultDump("fault: channel "+pr[0].Label()+" failed", now)
 	}
 	// Pump only after both directions are masked, so reroutes cannot
 	// pick the dying reverse direction.
