@@ -159,9 +159,7 @@ func (d *DynTopo) restore(dim int, now sim.Time) {
 	d.Transitions++
 	for _, ch := range d.dimChans[dim] {
 		d.Net.Switches[ch.Src.ID].SetClosing(ch.Src.Port, false)
-		if ch.L.State(now) == link.Off {
-			ch.L.PowerOn(now, d.OnRate, d.Reactivation)
-		}
+		d.Net.PowerOn(ch, now, d.OnRate, d.Reactivation)
 	}
 }
 
@@ -188,8 +186,8 @@ func (d *DynTopo) sweepDrained(dim int, now sim.Time) {
 		}
 		if at, on := a.L.AvailableAt(now); on && at <= now {
 			if bt, bon := b.L.AvailableAt(now); bon && bt <= now {
-				a.L.PowerOff(now)
-				b.L.PowerOff(now)
+				d.Net.PowerOff(a, now)
+				d.Net.PowerOff(b, now)
 			}
 		}
 	}

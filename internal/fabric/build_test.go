@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"epnet/internal/routing"
@@ -151,5 +152,30 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%s: layout covers %d channels, network has %d", name, idx, len(serial.chans))
 			}
 		}
+	}
+}
+
+// TestBuildBytesPerHost bounds what New allocates per host on the
+// paper's 15-ary 3-flat (3,375 hosts, 13,050 channels, serial). The
+// channel records are most of it, so a Chan that outgrows its four
+// cache lines, or a per-channel allocation, breaks the budget.
+// BenchmarkBuildNetwork reports the same figure for three fabrics.
+func TestBuildBytesPerHost(t *testing.T) {
+	defer func(old int) { buildWorkers = old }(buildWorkers)
+	buildWorkers = 1
+	f := topo.MustFBFLY(15, 3, 15)
+	r := routing.NewFBFLY(f)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	n, err := New(sim.New(), f, r, DefaultConfig())
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(n)
+	perHost := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(f.NumHosts())
+	t.Logf("New allocates %.0f B/host", perHost)
+	if perHost > 1500 {
+		t.Errorf("New allocates %.0f B/host on the 15-ary 3-flat, budget 1500", perHost)
 	}
 }

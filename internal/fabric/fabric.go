@@ -14,6 +14,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"epnet/internal/link"
 	"epnet/internal/parallel"
@@ -105,11 +106,14 @@ func (c *Config) validate() error {
 // Chan is a flyweight: every Chan of a network, with the link.Channel
 // it holds by value, is a value entry in one dense backing array
 // (Network.chanArr), so a fabric's channel population costs one
-// allocation. The record leads with what the per-packet path touches:
-// the credit FIFO, the shard wiring and the flags a send and an arrival
-// read, then the link, whose own send-path fields come first, so a send
-// reads the record's first two cache lines. Cold state (fault epochs,
-// drop counters) lives in the parallel chanCold array, indexed by idx.
+// allocation. The record is 256 bytes, four whole cache lines. It leads
+// with what the per-packet path touches: the credit FIFO, the shard
+// wiring and the flags a send and an arrival read, then the link, whose
+// own send-path fields come first, so a send reads the record's first
+// two cache lines. What a channel needs only sometimes lives outside
+// it, indexed by idx: cold state (fault epochs, drop counters) in the
+// parallel chanCold array, the tx_pkts counter in Network.mTx, and the
+// network itself is reached through the shard runtime.
 type Chan struct {
 	// Sender-side credit state. credits is the pool, less the returning
 	// credits not yet settled into it. Those form a FIFO linked through
@@ -134,13 +138,6 @@ type Chan struct {
 	L link.Channel
 
 	Src, Dst topo.Endpoint
-	net      *Network
-
-	// Per-channel attribution. mTx is a pre-resolved labeled counter
-	// handle, nil on host channels; deliverAcross reads it only once
-	// RegisterMetrics has set Network.countTx, so a run without
-	// telemetry never touches this cache line on a send.
-	mTx *telemetry.Counter
 }
 
 // chanCold is the cold half of a channel's state, split out of Chan so
@@ -206,6 +203,11 @@ func (c *Chan) returnCredit(at sim.Time, key uint64, size int64) {
 		rt.creditFree = rt.credits[slot-1].next
 		rt.credits[slot-1] = creditReturn{at: at, key: key, size: size}
 	} else {
+		if len(rt.credits) == cap(rt.credits) {
+			// Double, as the engine's arrays do: append's growth would
+			// leave about four slabs' worth of garbage.
+			rt.credits = slices.Grow(rt.credits, len(rt.credits))
+		}
 		rt.credits = append(rt.credits, creditReturn{at: at, key: key, size: size})
 		slot = int32(len(rt.credits))
 	}
@@ -226,7 +228,7 @@ func (c *Chan) returnCredit(at sim.Time, key uint64, size int64) {
 func (c *Chan) armWake() {
 	r := &c.srcRT.credits[c.retHead-1]
 	c.wakeArmed = true
-	c.srcRT.eng.PushKeyed(r.at, r.key, c.net.fnCreditWake, c, 0)
+	c.srcRT.eng.PushKeyed(r.at, r.key, c.srcRT.net.fnCreditWake, c, 0)
 }
 
 // takeCredits consumes n credits if available. It settles due returns
@@ -257,10 +259,10 @@ func (c *Chan) Credits() int64 {
 }
 
 // Failed reports whether the channel is hard-failed (fault injection).
-func (c *Chan) Failed() bool { return c.net.chanCold[c.idx].failed }
+func (c *Chan) Failed() bool { return c.srcRT.net.chanCold[c.idx].failed }
 
 // Drops returns packets lost on this channel to injected faults.
-func (c *Chan) Drops() int64 { return c.net.chanCold[c.idx].drops }
+func (c *Chan) Drops() int64 { return c.srcRT.net.chanCold[c.idx].drops }
 
 // Network is a simulated network instance bound to an event engine.
 type Network struct {
@@ -274,6 +276,9 @@ type Network struct {
 
 	chans []*Chan    // every directed channel
 	pairs [][2]*Chan // both directions of each physical link
+
+	// ladder is Cfg.Ladder prepared once and shared by every channel.
+	ladder *link.Ladder
 
 	// Dense entity storage (the flyweight layer). Every *Switch, *Host
 	// and *Chan handed out by this network points into one of these
@@ -344,9 +349,11 @@ type Network struct {
 	faultsEnabled bool
 	deadSwitch    []bool
 
-	// countTx is set once RegisterMetrics has given the inter-switch
-	// channels their tx_pkts counters (Chan.mTx).
-	countTx bool
+	// mTx holds each channel's pre-resolved tx_pkts counter handle, by
+	// Chan.idx, nil on host channels. It stays nil until RegisterMetrics
+	// fills it, so a run without telemetry reads one nil slice on a
+	// send.
+	mTx []*telemetry.Counter
 }
 
 // buildWorkers overrides the construction worker count (0 = one per
@@ -374,10 +381,11 @@ func New(e *sim.Engine, t topo.Topology, r routing.Router, cfg Config) (*Network
 		return nil, err
 	}
 	n := &Network{
-		E:   e,
-		T:   t,
-		R:   r,
-		Cfg: cfg,
+		E:      e,
+		T:      t,
+		R:      r,
+		Cfg:    cfg,
+		ladder: link.NewLadder(cfg.Ladder),
 	}
 	if err := n.buildShards(e, cfg.Shards); err != nil {
 		return nil, err
@@ -514,11 +522,10 @@ func (n *Network) initChan(idx int, src, dst topo.Endpoint, credits int64) *Chan
 		Src:      src,
 		Dst:      dst,
 		credits:  credits,
-		net:      n,
 		idx:      int32(idx),
 		toSwitch: dst.Kind == topo.KindSwitch,
 	}
-	c.L.Init(n.Cfg.Ladder)
+	c.L.InitShared(n.ladder)
 	c.srcRT, c.srcLane = n.endpointRT(src)
 	c.dstRT, c.dstLane = n.endpointRT(dst)
 	c.sameShard = c.srcRT == c.dstRT
@@ -655,8 +662,8 @@ func (n *Network) deliverAcross(c *Chan, pkt *Packet, start, done sim.Time) {
 	if n.faultsEnabled {
 		pkt.chEpoch = n.chanCold[c.idx].failEpoch
 	}
-	if n.countTx {
-		c.mTx.Inc()
+	if n.mTx != nil {
+		n.mTx[c.idx].Inc()
 	}
 	if pkt.trace != nil {
 		// Close the hop: under cut-through only the final (host-bound)
@@ -747,7 +754,7 @@ func (n *Network) FailChan(c *Chan, now sim.Time) {
 	}
 	cold.failed = true
 	cold.failEpoch++
-	c.L.PowerOff(now)
+	n.PowerOff(c, now)
 }
 
 // RepairChan returns a failed channel to service at rate r, paying
@@ -759,9 +766,40 @@ func (n *Network) RepairChan(c *Chan, now sim.Time, r link.Rate, reactivation si
 		return
 	}
 	cold.failed = false
-	c.L.PowerOn(now, r, reactivation)
+	n.PowerOn(c, now, r, reactivation)
 	c.L.ResetEpoch(now)
 	n.KickSender(c, now)
+}
+
+// PowerOff powers channel c down (a dynamic topology's drained link, or
+// a failure) and marks its sending port off. A channel is powered off
+// or back on only through PowerOff, PowerOn and SetRate, so route
+// choice reads a port's own record instead of its channel.
+func (n *Network) PowerOff(c *Chan, now sim.Time) {
+	c.L.PowerOff(now)
+	n.markOff(c, now)
+}
+
+// PowerOn powers an Off channel back up at rate r, paying reactivation
+// (link.Channel.PowerOn), and clears its port's off mark.
+func (n *Network) PowerOn(c *Chan, now sim.Time, r link.Rate, reactivation sim.Time) {
+	c.L.PowerOn(now, r, reactivation)
+	n.markOff(c, now)
+}
+
+// SetRate retunes channel c (link.Channel.SetRate), which powers an Off
+// channel back on, and keeps its port's off mark in step.
+func (n *Network) SetRate(c *Chan, now sim.Time, r link.Rate, reactivation sim.Time) {
+	c.L.SetRate(now, r, reactivation)
+	n.markOff(c, now)
+}
+
+// markOff copies c's power state into the port record that sends on it.
+// Host uplinks have no port record: a host's pump asks its link.
+func (n *Network) markOff(c *Chan, now sim.Time) {
+	if c.Src.Kind == topo.KindSwitch {
+		n.Switches[c.Src.ID].ports[c.Src.Port].off = c.L.State(now) == link.Off
+	}
 }
 
 // KickSender re-evaluates the entity feeding channel c (after a repair

@@ -329,7 +329,7 @@ func TestRerouteOnPowerOff(t *testing.T) {
 		sw0 := n.Switches[0]
 		for p := f.C; p < f.Radix(); p++ {
 			if ch := sw0.ports[p].out; ch != nil && sw0.QueuedPackets(p) > 0 {
-				ch.L.PowerOff(now)
+				n.PowerOff(ch, now)
 				sw0.pumpOut(p, now)
 				break
 			}
@@ -339,6 +339,42 @@ func TestRerouteOnPowerOff(t *testing.T) {
 	if delivered != 50 {
 		t.Errorf("delivered %d, want 50 (reroute around powered-off link)", delivered)
 	}
+}
+
+// TestPortOffFollowsPower checks that a switch port's off flag, which
+// route choice reads instead of the port's channel, follows the
+// channel's power state through every transition the network offers.
+func TestPortOffFollowsPower(t *testing.T) {
+	_, n := newTestNet(t)
+	n.EnableFaults()
+	s := n.Switches[0]
+	p := len(s.ports) - 1 // an inter-switch port
+	ch := s.ports[p].out
+	check := func(step string, off bool) {
+		t.Helper()
+		for sw, other := range n.Switches {
+			for q, pt := range other.ports {
+				if got, want := pt.off, pt.out.L.State(0) == link.Off; got != want {
+					t.Fatalf("%s: sw%d.p%d off flag %v, channel off %v", step, sw, q, got, want)
+				}
+			}
+		}
+		if s.ports[p].off != off {
+			t.Fatalf("%s: off flag %v, want %v", step, s.ports[p].off, off)
+		}
+	}
+	check("built", false)
+	n.PowerOff(ch, sim.Microsecond)
+	check("PowerOff", true)
+	n.PowerOn(ch, 2*sim.Microsecond, link.Rate10G, 0)
+	check("PowerOn", false)
+	n.PowerOff(ch, 3*sim.Microsecond)
+	n.SetRate(ch, 4*sim.Microsecond, link.Rate20G, 0)
+	check("SetRate on an Off channel", false)
+	n.FailChan(ch, 5*sim.Microsecond)
+	check("FailChan", true)
+	n.RepairChan(ch, 6*sim.Microsecond, link.Rate40G, 0)
+	check("RepairChan", false)
 }
 
 func TestInjectValidation(t *testing.T) {

@@ -248,12 +248,13 @@ func TestMsgWindow(t *testing.T) {
 
 // TestHotLayout pins the sizes the packet path is built around: a
 // Packet fills one 64-byte cache line (and Go's 64-byte size class), a
-// queue header is 32 bytes and a port record 64, so none can grow
-// unnoticed. It also pins where a send reads a channel: every Chan
-// field and every field of the link.Channel it holds that a send
-// (pumpOut, takeCredits, StartTransmit, deliverAcross) reads lies in
-// the record's first two cache lines, and the record is a whole number
-// of lines, so those two stay whole in a line-aligned backing array.
+// queue header is 32 bytes, a port record 64 and a channel record 256,
+// four whole lines, so none can grow unnoticed; the channel record is
+// most of a large fabric's memory. It also pins where a send reads a
+// channel: every Chan field and every field of the link.Channel it
+// holds that a send (pumpOut, takeCredits, StartTransmit,
+// deliverAcross) reads lies in the record's first two cache lines,
+// which stay whole in a line-aligned backing array.
 func TestHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 64 {
 		t.Errorf("Packet is %d bytes, want 64", got)
@@ -267,8 +268,8 @@ func TestHotLayout(t *testing.T) {
 
 	const line = 64
 	var c Chan
-	if got := unsafe.Sizeof(c); got%line != 0 {
-		t.Errorf("Chan is %d bytes, not a whole number of %d-byte lines", got, line)
+	if got := unsafe.Sizeof(c); got != 4*line {
+		t.Errorf("Chan is %d bytes, want %d", got, 4*line)
 	}
 	type field struct {
 		name      string
@@ -276,10 +277,12 @@ func TestHotLayout(t *testing.T) {
 	}
 	send := []field{
 		{"credits", unsafe.Offsetof(c.credits), unsafe.Sizeof(c.credits)},
+		{"retHead", unsafe.Offsetof(c.retHead), unsafe.Sizeof(c.retHead)},
 		{"srcRT", unsafe.Offsetof(c.srcRT), unsafe.Sizeof(c.srcRT)},
 		{"dstRT", unsafe.Offsetof(c.dstRT), unsafe.Sizeof(c.dstRT)},
 		{"srcLane", unsafe.Offsetof(c.srcLane), unsafe.Sizeof(c.srcLane)},
 		{"idx", unsafe.Offsetof(c.idx), unsafe.Sizeof(c.idx)},
+		{"waiting", unsafe.Offsetof(c.waiting), unsafe.Sizeof(c.waiting)},
 		{"sameShard", unsafe.Offsetof(c.sameShard), unsafe.Sizeof(c.sameShard)},
 		{"toSwitch", unsafe.Offsetof(c.toSwitch), unsafe.Sizeof(c.toSwitch)},
 	}

@@ -50,7 +50,7 @@ import (
 //
 // Single-writer discipline (what makes windows lock-free):
 //   - switch/host state, lanes, and output-channel state (link, credits,
-//     waiting flag, mTx) are touched only by the owning shard's worker,
+//     waiting flag) are touched only by the owning shard's worker,
 //     or by the control plane while all workers are quiescent;
 //   - a channel's src-side state belongs to the src entity's shard, its
 //     returning-credit FIFO included; a credit return from another
@@ -97,6 +97,7 @@ type windowReq struct {
 // the shard's worker inside a window, the control plane at barriers.
 type shardRT struct {
 	id  int
+	net *Network
 	eng *sim.Engine
 
 	// stage[d] holds events bound for shard d since the last barrier.
@@ -589,7 +590,7 @@ func (n *Network) buildShards(e *sim.Engine, nsh int) error {
 	n.swShard = topo.PartitionOf(n.T, nsh)
 	n.rts = make([]*shardRT, nsh)
 	for i := range n.rts {
-		rt := &shardRT{id: i, eng: e, msgRemaining: msgWindow{shards: nsh}}
+		rt := &shardRT{id: i, net: n, eng: e, msgRemaining: msgWindow{shards: nsh}}
 		if nsh > 1 {
 			rt.eng = sim.New()
 			rt.stage = make([][]stagedEvent, nsh)

@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"epnet/internal/link"
 	"epnet/internal/sim"
 	"epnet/internal/telemetry"
 )
@@ -38,8 +37,8 @@ type Switch struct {
 
 // port is one switch port: its output channel and queue, and the state
 // of the pump feeding the channel. One hop reads and writes these
-// together — route choice reads the queue depth, enqueue and pumpOut the
-// rest — so they share one 64-byte record, a cache line.
+// together — route choice reads the queue depth and the flags, enqueue
+// and pumpOut the rest — so they share one 64-byte record, a cache line.
 type port struct {
 	out         *Chan // output channel (nil on unused ports)
 	queue       fifo[*Packet]
@@ -47,6 +46,7 @@ type port struct {
 	wakeAt      sim.Time
 	wakePending bool
 	closing     bool // dynamic topology: the port drains, takes no new packets
+	off         bool // out is powered off (Network.PowerOff)
 }
 
 // ID returns the switch index.
@@ -164,7 +164,7 @@ func (s *Switch) choosePort(pkt *Packet, now sim.Time) int {
 		if pt.closing {
 			cost += closingPenalty
 		}
-		if ch.L.State(now) == link.Off {
+		if pt.off {
 			cost += 2 * closingPenalty
 		}
 		switch {

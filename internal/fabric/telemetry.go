@@ -38,10 +38,10 @@ func (c *Chan) Label() string {
 //
 // Everything except link.tx_pkts is exposed through closures over
 // existing counters and accessors, adding nothing to the packet path.
-// link.tx_pkts binds a pre-resolved Counter handle onto each channel
-// (Chan.mTx), which the delivery path increments — one nil-check-free
-// add per hop, zero allocations (see BenchmarkNetworkThroughputMetrics
-// and the zero-allocation test). Host-attachment channels are
+// link.tx_pkts binds a pre-resolved Counter handle to each channel
+// (Network.mTx, by channel index), which the delivery path increments —
+// one add per hop, zero allocations (see
+// BenchmarkNetworkThroughputMetrics and the zero-allocation test). Host-attachment channels are
 // aggregated into the net.* series rather than getting per-link
 // series, keeping the sampled width proportional to the switch fabric.
 func (n *Network) RegisterMetrics(reg *telemetry.Registry) error {
@@ -136,14 +136,15 @@ func (n *Network) RegisterMetrics(reg *telemetry.Registry) error {
 			return err
 		}
 	}
+	mTx := make([]*telemetry.Counter, len(n.chans))
 	for _, ch := range isc {
 		c, err := txPkts.With(ch.Label())
 		if err != nil {
 			return err
 		}
-		ch.mTx = c
+		mTx[ch.idx] = c
 	}
-	n.countTx = true
+	n.mTx = mTx
 	for _, ch := range isc {
 		ch := ch
 		if err := drops.WithFunc(func() float64 { return float64(ch.Drops()) }, ch.Label()); err != nil {

@@ -242,7 +242,7 @@ func (inj *Injector) RestoreLink(now sim.Time, sw, port int) bool {
 	for _, ch := range pr {
 		ch.L.SetRateCap(now, 0, 0)
 		if inj.RestoreRate != 0 && !ch.Failed() {
-			ch.L.SetRate(now, inj.RestoreRate, inj.DegradeReactivation)
+			inj.Net.SetRate(ch, now, inj.RestoreRate, inj.DegradeReactivation)
 			ch.L.ResetEpoch(now)
 			inj.Net.KickSender(ch, now)
 		}

@@ -8,7 +8,7 @@ import (
 
 // BenchmarkStartTransmit measures the per-packet channel cost.
 func BenchmarkStartTransmit(b *testing.B) {
-	c := MustChannel("bench", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	now := sim.Time(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -18,7 +18,7 @@ func BenchmarkStartTransmit(b *testing.B) {
 
 // BenchmarkEpochCycle measures the controller-visible epoch operations.
 func BenchmarkEpochCycle(b *testing.B) {
-	c := MustChannel("bench", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	now := sim.Time(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

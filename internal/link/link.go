@@ -61,17 +61,24 @@ func transmitTime(n int, kbitTime sim.Time) sim.Time {
 // RateLadder is the ordered set of rates a channel can operate at.
 type RateLadder []Rate
 
+// maxRungs bounds a ladder's length: a channel keeps its rate and its
+// cap as one-byte rung numbers, the cap offset by one.
+const maxRungs = 255
+
 // DefaultLadder is the evaluation ladder of §4.1: 40 Gb/s maximum,
 // detunable to 20, 10, 5 and 2.5 Gb/s.
 func DefaultLadder() RateLadder {
 	return RateLadder{Rate2_5G, Rate5G, Rate10G, Rate20G, Rate40G}
 }
 
-// Validate checks that the ladder is non-empty, strictly increasing and
-// all-positive.
+// Validate checks that the ladder is non-empty, strictly increasing,
+// all-positive and at most 255 rates long.
 func (l RateLadder) Validate() error {
 	if len(l) == 0 {
 		return fmt.Errorf("link: empty rate ladder")
+	}
+	if len(l) > maxRungs {
+		return fmt.Errorf("link: ladder of %d rates exceeds %d", len(l), maxRungs)
 	}
 	for i, r := range l {
 		if r <= 0 {
@@ -120,6 +127,34 @@ func (l RateLadder) Up(r Rate) Rate {
 		return r
 	}
 	return l[i+1]
+}
+
+// Ladder is a validated RateLadder prepared to be shared: every channel
+// of a fabric points at one, so a channel holds its rate and its cap as
+// rung numbers instead of a slice header and two rates.
+type Ladder struct {
+	rates RateLadder
+	kbit  []sim.Time // rates[i].kbitTime()
+}
+
+// NewLadder prepares rates, which must be valid (RateLadder.Validate),
+// for sharing among channels.
+func NewLadder(rates RateLadder) *Ladder {
+	l := &Ladder{rates: rates, kbit: make([]sim.Time, len(rates))}
+	for i, r := range rates {
+		l.kbit[i] = r.kbitTime()
+	}
+	return l
+}
+
+// rung returns r's position on the ladder; it panics when r is not on
+// it.
+func (l *Ladder) rung(r Rate) uint8 {
+	i := l.rates.Index(r)
+	if i < 0 {
+		panic(fmt.Sprintf("link: rate %v not on ladder", r))
+	}
+	return uint8(i)
 }
 
 // State is the operational state of a channel.
@@ -267,14 +302,21 @@ func (o Occupancy) OffFraction() float64 {
 // The fields a transmission reads and writes (AvailableAt,
 // TransmitTime, StartTransmit) come first, in the leading 72 bytes, so
 // a container that holds the channel by value can place them in the
-// same cache lines as its own per-packet state. A Channel must not be
-// copied once in use: go vet's copylocks check flags a copy.
+// same cache lines as its own per-packet state. The rate and the rate
+// cap are rung numbers on a shared Ladder, so the whole channel is 152
+// bytes. A Channel must not be copied once in use: go vet's copylocks
+// check flags a copy.
 type Channel struct {
 	noCopy noCopy
 
 	state State
-	// kbitTime is rate.kbitTime(), refreshed with every write of rate,
-	// so a send costs no 64-bit division.
+	// rung is the configured rate's position on the ladder. capRung,
+	// when non-zero, pins the channel at or below rung capRung-1: a
+	// degraded lane keeps the SerDes from training its full mode (fault
+	// injection). SetRate and PowerOn clamp against it.
+	rung, capRung uint8
+	// kbitTime is the rung's kbitTime, refreshed with every write of
+	// rung, so a send costs no 64-bit division.
 	kbitTime sim.Time
 	// reconfigUntil is when the current reactivation completes.
 	reconfigUntil sim.Time
@@ -291,17 +333,7 @@ type Channel struct {
 	totalBytes   int64
 	totalPackets int64
 
-	rate Rate
-
-	// Identity, for reports.
-	Name string
-
-	ladder RateLadder
-
-	// cap, when non-zero, pins the channel at or below this rate: a
-	// degraded lane keeps the SerDes from training its full mode
-	// (fault injection). SetRate and PowerOn clamp against it.
-	cap Rate
+	ladder *Ladder
 
 	// Accounting.
 	lastChange     sim.Time
@@ -324,11 +356,11 @@ func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
 // NewChannel creates an Active channel at the ladder's maximum rate.
-func NewChannel(name string, ladder RateLadder) (*Channel, error) {
+func NewChannel(ladder RateLadder) (*Channel, error) {
 	if err := ladder.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Channel{Name: name}
+	c := &Channel{}
 	c.Init(ladder)
 	return c, nil
 }
@@ -337,25 +369,24 @@ func NewChannel(name string, ladder RateLadder) (*Channel, error) {
 // maximum rate — the value-type counterpart of NewChannel for callers
 // that keep channels in dense backing arrays (one allocation for the
 // whole fabric instead of one per channel). The ladder must already be
-// validated; a fabric validates its shared ladder once. Any prior state
-// of c except Name is discarded; the time-at-rate row is allocated
-// lazily by the first accounting slice, so an untouched channel costs
-// exactly its struct size.
-func (c *Channel) Init(ladder RateLadder) {
-	*c = Channel{
-		Name:   c.Name,
-		ladder: ladder,
-		state:  Active,
-	}
-	c.setRate(ladder.Max())
+// validated. Any prior state of c is discarded.
+func (c *Channel) Init(ladder RateLadder) { c.InitShared(NewLadder(ladder)) }
+
+// InitShared is Init on a ladder shared with other channels: a fabric
+// prepares its ladder once and points every channel at it. The
+// time-at-rate row is allocated lazily by the first accounting slice,
+// so an untouched channel costs exactly its struct size.
+func (c *Channel) InitShared(l *Ladder) {
+	*c = Channel{ladder: l, state: Active}
+	c.setRung(uint8(len(l.rates) - 1))
 }
 
-// setRate writes the rate and its transmit factor together.
-func (c *Channel) setRate(r Rate) { c.rate, c.kbitTime = r, r.kbitTime() }
+// setRung writes the rate's rung and its transmit factor together.
+func (c *Channel) setRung(i uint8) { c.rung, c.kbitTime = i, c.ladder.kbit[i] }
 
 // MustChannel is NewChannel that panics on error.
-func MustChannel(name string, ladder RateLadder) *Channel {
-	c, err := NewChannel(name, ladder)
+func MustChannel(ladder RateLadder) *Channel {
+	c, err := NewChannel(ladder)
 	if err != nil {
 		panic(err)
 	}
@@ -363,11 +394,11 @@ func MustChannel(name string, ladder RateLadder) *Channel {
 }
 
 // Ladder returns the channel's rate ladder.
-func (c *Channel) Ladder() RateLadder { return c.ladder }
+func (c *Channel) Ladder() RateLadder { return c.ladder.rates }
 
 // Rate returns the current configured rate. During reconfiguration this
 // is the rate being configured.
-func (c *Channel) Rate() Rate { return c.rate }
+func (c *Channel) Rate() Rate { return c.ladder.rates[c.rung] }
 
 // State returns the current operational state at time now, folding in
 // any reactivation that has completed.
@@ -383,7 +414,7 @@ func (c *Channel) State(now sim.Time) State {
 func (c *Channel) account(now sim.Time) {
 	dt := now - c.lastChange
 	if dt < 0 {
-		panic(fmt.Sprintf("link %s: time went backwards (%v -> %v)", c.Name, c.lastChange, now))
+		panic(fmt.Sprintf("link: time went backwards (%v -> %v)", c.lastChange, now))
 	}
 	if dt == 0 {
 		c.lastChange = now
@@ -398,9 +429,9 @@ func (c *Channel) account(now sim.Time) {
 		// (idle links in a fabric of hundreds of thousands) never pay
 		// for it.
 		if c.atRate == nil {
-			c.atRate = make([]sim.Time, len(c.ladder))
+			c.atRate = make([]sim.Time, len(c.ladder.rates))
 		}
-		c.atRate[c.ladder.Index(c.rate)] += dt
+		c.atRate[c.rung] += dt
 	}
 	c.lastChange = now
 }
@@ -410,15 +441,12 @@ func (c *Channel) account(now sim.Time) {
 // and the channel is active. Setting a rate on an Off channel powers it
 // back on (also paying the reactivation time).
 func (c *Channel) SetRate(now sim.Time, r Rate, reactivation sim.Time) {
-	if c.ladder.Index(r) < 0 {
-		panic(fmt.Sprintf("link %s: rate %v not on ladder", c.Name, r))
-	}
-	r = c.ClampRate(r)
-	if c.state != Off && c.rate == r && c.State(now) == Active {
+	i := c.clampRung(c.ladder.rung(r))
+	if c.state != Off && c.rung == i && c.State(now) == Active {
 		return
 	}
 	c.account(now)
-	c.setRate(r)
+	c.setRung(i)
 	c.state = Reconfiguring
 	c.reconfigUntil = now + reactivation
 	if reactivation == 0 {
@@ -449,7 +477,7 @@ func (c *Channel) PowerOn(now sim.Time, r Rate, reactivation sim.Time) {
 	}
 	c.account(now)
 	c.state = Active
-	c.setRate(c.ClampRate(r))
+	c.setRung(c.clampRung(c.ladder.rung(r)))
 	if reactivation > 0 {
 		c.state = Reconfiguring
 		c.reconfigUntil = now + reactivation
@@ -467,31 +495,39 @@ func (c *Channel) PowerOn(now sim.Time, r Rate, reactivation sim.Time) {
 // clearing the cap never retunes by itself — the rate controller (or
 // RestoreRate) decides when to climb back.
 func (c *Channel) SetRateCap(now sim.Time, cap Rate, reactivation sim.Time) {
-	if cap != 0 && c.ladder.Index(cap) < 0 {
-		panic(fmt.Sprintf("link %s: rate cap %v not on ladder", c.Name, cap))
+	if cap == 0 {
+		c.capRung = 0
+		return
 	}
-	c.cap = cap
-	if cap != 0 && c.state != Off && c.rate > cap {
+	c.capRung = c.ladder.rung(cap) + 1
+	if c.state != Off && c.rung >= c.capRung {
 		c.SetRate(now, cap, reactivation)
 	}
 }
 
 // RateCap returns the current rate cap (0 = uncapped).
-func (c *Channel) RateCap() Rate { return c.cap }
+func (c *Channel) RateCap() Rate {
+	if c.capRung == 0 {
+		return 0
+	}
+	return c.ladder.rates[c.capRung-1]
+}
 
-// ClampRate returns r limited to the channel's rate cap: the largest
-// ladder rate <= cap when r exceeds it, else r unchanged.
+// ClampRate returns r limited to the channel's rate cap: the cap when r
+// exceeds it, else r unchanged.
 func (c *Channel) ClampRate(r Rate) Rate {
-	if c.cap == 0 || r <= c.cap {
-		return r
+	if cap := c.RateCap(); cap != 0 && r > cap {
+		return cap
 	}
-	best := c.ladder.Min()
-	for _, v := range c.ladder {
-		if v <= c.cap && v > best {
-			best = v
-		}
+	return r
+}
+
+// clampRung is ClampRate on rung numbers.
+func (c *Channel) clampRung(i uint8) uint8 {
+	if c.capRung != 0 && i >= c.capRung {
+		return c.capRung - 1
 	}
-	return best
+	return i
 }
 
 // AvailableAt returns the earliest time >= now at which the channel can
@@ -531,10 +567,10 @@ func (c *Channel) TransmitTime(n int) sim.Time { return transmitTime(n, c.kbitTi
 func (c *Channel) StartTransmit(start sim.Time, n int) sim.Time {
 	avail, ok := c.AvailableAt(start)
 	if !ok {
-		panic(fmt.Sprintf("link %s: transmit on powered-off channel", c.Name))
+		panic("link: transmit on powered-off channel")
 	}
 	if start < avail {
-		panic(fmt.Sprintf("link %s: transmit at %v before available %v", c.Name, start, avail))
+		panic(fmt.Sprintf("link: transmit at %v before available %v", start, avail))
 	}
 	if c.state == Reconfiguring {
 		// Reactivation has completed (start >= reconfigUntil).
@@ -626,15 +662,25 @@ func (c *Channel) ResetAccounting(now sim.Time) {
 func (c *Channel) AccountedSince() sim.Time { return c.accountedSince }
 
 // Occupancy finalizes accounting at time now and returns the
-// time-at-rate distribution.
+// time-at-rate distribution, in a row of its own.
 func (c *Channel) Occupancy(now sim.Time) Occupancy {
+	o := c.OccupancyView(now)
+	o.AtRate = append([]sim.Time(nil), o.AtRate...)
+	return o
+}
+
+// OccupancyView is Occupancy without the copy: AtRate is the channel's
+// own row, valid until the channel next accounts time (any later call
+// that takes a time). A reader that folds it at once, as end-of-run
+// collection does, allocates nothing; one that keeps it, or writes to
+// it, must use Occupancy.
+func (c *Channel) OccupancyView(now sim.Time) Occupancy {
 	c.account(now)
 	total := c.offTime
 	for _, t := range c.atRate {
 		total += t
 	}
-	return Occupancy{Ladder: c.ladder, AtRate: append([]sim.Time(nil), c.atRate...),
-		Off: c.offTime, Total: total}
+	return Occupancy{Ladder: c.ladder.rates, AtRate: c.atRate, Off: c.offTime, Total: total}
 }
 
 // MeanUtilization returns bytes since accounting began over the
@@ -646,5 +692,5 @@ func (c *Channel) MeanUtilization(now sim.Time) float64 {
 		return 0
 	}
 	bits := float64(c.totalBytes) * 8
-	return bits / (float64(c.ladder.Max()) * window.Seconds())
+	return bits / (float64(c.ladder.rates.Max()) * window.Seconds())
 }

@@ -61,7 +61,7 @@ func TestChannelTransmitTime(t *testing.T) {
 		{1_000_000, 3_000_000, 100_000_000, 1_000_000_007, 7 * Gbps, 100 * Gbps},
 	}
 	for _, l := range ladders {
-		c := MustChannel("c", l)
+		c := MustChannel(l)
 		check := func(after string) {
 			t.Helper()
 			for n := 1; n <= 65536; n++ {
@@ -128,6 +128,47 @@ func TestLadderValidation(t *testing.T) {
 	if err := (RateLadder{Rate5G, Rate5G}).Validate(); err == nil {
 		t.Error("duplicate rate accepted")
 	}
+	// A channel's rung numbers are bytes, the cap's offset by one.
+	long := make(RateLadder, maxRungs+1)
+	for i := range long {
+		long[i] = Rate(i+1) * Gbps
+	}
+	if err := long.Validate(); err == nil {
+		t.Errorf("ladder of %d rates accepted", len(long))
+	}
+	if err := long[:maxRungs].Validate(); err != nil {
+		t.Errorf("ladder of %d rates: %v", maxRungs, err)
+	}
+}
+
+// TestChannelRateCap checks the cap a channel keeps as a rung number:
+// it reads back as the rate it was set to, clamps SetRate, PowerOn and
+// ClampRate to that rate, and retunes an active channel above it.
+func TestChannelRateCap(t *testing.T) {
+	c := MustChannel(DefaultLadder())
+	if c.RateCap() != 0 || c.ClampRate(Rate40G) != Rate40G {
+		t.Fatalf("new channel: cap %v, ClampRate(40G) %v", c.RateCap(), c.ClampRate(Rate40G))
+	}
+	c.SetRateCap(sim.Microsecond, Rate10G, 0)
+	if c.RateCap() != Rate10G || c.Rate() != Rate10G {
+		t.Fatalf("after cap 10G: cap %v, rate %v", c.RateCap(), c.Rate())
+	}
+	if c.ClampRate(Rate20G) != Rate10G || c.ClampRate(Rate5G) != Rate5G {
+		t.Errorf("ClampRate(20G), (5G) = %v, %v", c.ClampRate(Rate20G), c.ClampRate(Rate5G))
+	}
+	c.SetRate(2*sim.Microsecond, Rate40G, 0)
+	if c.Rate() != Rate10G {
+		t.Errorf("SetRate(40G) under a 10G cap gave %v", c.Rate())
+	}
+	c.PowerOff(3 * sim.Microsecond)
+	c.PowerOn(4*sim.Microsecond, Rate40G, 0)
+	if c.Rate() != Rate10G {
+		t.Errorf("PowerOn(40G) under a 10G cap gave %v", c.Rate())
+	}
+	c.SetRateCap(5*sim.Microsecond, 0, 0)
+	if c.RateCap() != 0 || c.Rate() != Rate10G {
+		t.Errorf("clearing the cap: cap %v, rate %v (want 0, unchanged 10G)", c.RateCap(), c.Rate())
+	}
 }
 
 // TestInfiniBandTable2 checks the rate modes of the paper's Table 2.
@@ -176,7 +217,7 @@ func TestReactivationModel(t *testing.T) {
 }
 
 func TestChannelLifecycle(t *testing.T) {
-	c := MustChannel("test", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	if c.Rate() != Rate40G {
 		t.Fatalf("initial rate %v, want max", c.Rate())
 	}
@@ -216,7 +257,7 @@ func TestChannelLifecycle(t *testing.T) {
 }
 
 func TestChannelEpochUtilization(t *testing.T) {
-	c := MustChannel("u", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	epoch := 10 * sim.Microsecond
 	// 40G for 10us can carry 50000 bytes; send 25000: busy 5us of 10us.
 	c.StartTransmit(0, 25000)
@@ -240,7 +281,7 @@ func TestChannelEpochUtilization(t *testing.T) {
 // overlap to each epoch, so utilization never exceeds 1 and slow links
 // are not starved of signal.
 func TestChannelEpochUtilizationStraddle(t *testing.T) {
-	c := MustChannel("s", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	c.SetRate(0, Rate2_5G, 0)
 	// 2048 bytes at 2.5G = 6.5536us, crossing several 1us epochs.
 	c.StartTransmit(0, 2048)
@@ -260,7 +301,7 @@ func TestChannelEpochUtilizationStraddle(t *testing.T) {
 }
 
 func TestChannelOccupancy(t *testing.T) {
-	c := MustChannel("o", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	// 0-10us at 40G, then reconfigure (1us) to 2.5G, run to 20us, off to 30us.
 	c.SetRate(10*sim.Microsecond, Rate2_5G, sim.Microsecond)
 	c.PowerOff(20 * sim.Microsecond)
@@ -290,7 +331,7 @@ func TestChannelOccupancy(t *testing.T) {
 			t.Error("empty aggregate OffFraction not 0")
 		}
 		l := DefaultLadder()
-		agg.Add(MustChannel("idle", l).Occupancy(0)) // no row yet
+		agg.Add(MustChannel(l).Occupancy(0)) // no row yet
 		agg.Add(Occupancy{Ladder: l, AtRate: []sim.Time{30, 0, 0, 0, 10}, Total: 40})
 		agg.Add(Occupancy{Ladder: l, AtRate: []sim.Time{50, 0, 0, 0, 0}, Off: 10, Total: 60})
 		if want := []sim.Time{80, 0, 0, 0, 10}; !reflect.DeepEqual(agg.AtRate, want) {
@@ -312,7 +353,7 @@ var occSink Occupancy
 // time-at-rate row once: retuning over the ladder, a power cycle and an
 // accounting reset reuse it, and Occupancy allocates only its copy.
 func TestChannelAccountingAllocs(t *testing.T) {
-	c := MustChannel("a", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	now := sim.Time(0)
 	next := func() sim.Time { now += sim.Microsecond; return now }
 	c.SetRate(next(), Rate2_5G, 0) // the first slice allocates the row
@@ -330,10 +371,36 @@ func TestChannelAccountingAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { occSink = c.Occupancy(next()) }); a > 1 {
 		t.Errorf("Occupancy allocates %v, want only its row", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { occSink = c.OccupancyView(next()) }); a != 0 {
+		t.Errorf("OccupancyView allocates %v, want 0", a)
+	}
+}
+
+// TestOccupancyView checks that the view reads what Occupancy copies,
+// in the channel's own row, and that a copy does not follow the row.
+func TestOccupancyView(t *testing.T) {
+	c := MustChannel(DefaultLadder())
+	c.SetRate(10*sim.Microsecond, Rate5G, 0)
+	c.PowerOff(15 * sim.Microsecond)
+	now := 20 * sim.Microsecond
+	occ := c.Occupancy(now)
+	view := c.OccupancyView(now)
+	if !reflect.DeepEqual(occ, view) {
+		t.Fatalf("view %+v, copy %+v", view, occ)
+	}
+	if &view.AtRate[0] != &c.atRate[0] || &occ.AtRate[0] == &c.atRate[0] {
+		t.Error("the view does not alias the channel's row, or the copy does")
+	}
+	c.PowerOn(now, Rate5G, 0)
+	c.OccupancyView(now + sim.Microsecond)
+	if occ.AtRate[1] != 5*sim.Microsecond || view.AtRate[1] != 6*sim.Microsecond {
+		t.Errorf("after another microsecond at 5G: copy %v, view %v (want 5us, 6us)",
+			occ.AtRate[1], view.AtRate[1])
+	}
 }
 
 func TestChannelPowerCycle(t *testing.T) {
-	c := MustChannel("p", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	c.PowerOff(sim.Microsecond)
 	if _, ok := c.AvailableAt(sim.Microsecond); ok {
 		t.Fatal("off channel reported available")
@@ -362,7 +429,7 @@ func TestChannelPowerCycle(t *testing.T) {
 }
 
 func TestChannelMeanUtilization(t *testing.T) {
-	c := MustChannel("m", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	// 50000 bytes in 10us at 40G max = 100% => send 5000 bytes = 10%.
 	c.StartTransmit(0, 5000)
 	got := c.MeanUtilization(10 * sim.Microsecond)
@@ -375,7 +442,7 @@ func TestChannelMeanUtilization(t *testing.T) {
 }
 
 func TestChannelSetRateNoopAndPanic(t *testing.T) {
-	c := MustChannel("n", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	c.SetRate(0, Rate40G, sim.Microsecond) // same rate, active: no-op
 	if c.State(0) != Active {
 		t.Fatal("no-op SetRate entered reconfiguration")
@@ -389,7 +456,7 @@ func TestChannelSetRateNoopAndPanic(t *testing.T) {
 }
 
 func TestChannelTransmitBeforeAvailablePanics(t *testing.T) {
-	c := MustChannel("x", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	c.StartTransmit(0, 1000)
 	defer func() {
 		if recover() == nil {
@@ -403,7 +470,7 @@ func TestChannelTransmitBeforeAvailablePanics(t *testing.T) {
 // sequences of rate changes and power cycles.
 func TestChannelOccupancyConservationProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		c := MustChannel("prop", DefaultLadder())
+		c := MustChannel(DefaultLadder())
 		now := sim.Time(0)
 		for _, op := range ops {
 			now += sim.Time(op%97+1) * sim.Nanosecond
@@ -433,7 +500,7 @@ func TestChannelOccupancyConservationProperty(t *testing.T) {
 }
 
 func TestChannelResetAccounting(t *testing.T) {
-	c := MustChannel("r", DefaultLadder())
+	c := MustChannel(DefaultLadder())
 	c.StartTransmit(0, 10000)
 	c.SetRate(10*sim.Microsecond, Rate10G, sim.Microsecond)
 	c.ResetAccounting(20 * sim.Microsecond)

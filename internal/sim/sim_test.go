@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeUnits(t *testing.T) {
@@ -240,5 +242,41 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			e.At(Time(j%97), func(Time) {})
 		}
 		e.Run()
+	}
+}
+
+// TestGrowthDoubles pushes n events, half into the ring and half past
+// its horizon into the heap, and weighs everything the engine allocated
+// on the way against the arrays it ends with. The payload slab, the
+// nodes and the heap tier double when full, and the ring doubles by
+// construction, so the sum is at most about twice the final arrays;
+// append's own growth of about 1.25x makes it about five times.
+func TestGrowthDoubles(t *testing.T) {
+	const n = 1 << 16
+	e := New()
+	fn := func(Time, any, int64) {}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		at := Time(i) * Nanosecond
+		if i%2 == 1 {
+			at += Second
+		}
+		e.PushKeyed(at, uint64(i), fn, nil, 0)
+	}
+	runtime.ReadMemStats(&m1)
+	if e.inRing == 0 || len(e.heap) == 0 {
+		t.Fatalf("ring holds %d events and heap %d, want both tiers used", e.inRing, len(e.heap))
+	}
+	final := uint64(cap(e.slab))*uint64(unsafe.Sizeof(payload{})) +
+		uint64(cap(e.nodes))*uint64(unsafe.Sizeof(node{})) +
+		uint64(cap(e.heap))*uint64(unsafe.Sizeof(item{})) +
+		uint64(cap(e.ring))*uint64(unsafe.Sizeof(bucket{})) +
+		uint64(cap(e.used))*8
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("allocated %d B for %d B of final arrays (%.2fx)", got, final, float64(got)/float64(final))
+	if float64(got) > 2.25*float64(final) {
+		t.Errorf("pushing %d events allocated %d B, %.2fx the %d B of final arrays; want at most 2.25x",
+			n, got, float64(got)/float64(final), final)
 	}
 }

@@ -560,9 +560,11 @@ func (r *run) result() Result {
 
 	var pm, pi, util float64
 	var classAcc, classCnt [topo.Optical + 1]float64
+	// Each channel's time-at-rate row is read in place and folded at
+	// once, so collection allocates nothing per channel.
 	now := r.e.Now()
 	for ci, ch := range net.Channels() {
-		occ := ch.L.Occupancy(now)
+		occ := ch.L.OccupancyView(now)
 		share.Add(occ)
 		pm += power.OccupancyPower(occ, measured)
 		pi += power.OccupancyPower(occ, ideal)

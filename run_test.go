@@ -1,7 +1,9 @@
 package epnet
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"epnet/internal/fabric"
 	"epnet/internal/sim"
@@ -66,5 +68,40 @@ func TestDeliveryHookZeroAlloc(t *testing.T) {
 	if phased != runs*measured || bucketed != runs*measured {
 		t.Errorf("phase recorders hold %d and histogram %d deliveries, want %d each",
 			phased, bucketed, runs*measured)
+	}
+}
+
+// TestCollectAllocsPerChannel checks that end-of-run collection reads
+// every channel's time-at-rate row in place: result allocates as often
+// on an 8-ary 2-flat (184 channels) as on a 4-ary one (44). The window
+// is too short for a packet to arrive, so the latency tables, which
+// scale with what the run delivered, are empty on both.
+func TestCollectAllocsPerChannel(t *testing.T) {
+	allocs := func(k int) (float64, int) {
+		cfg := NewConfig(TopoFBFLY, WithShape(k, 2, k), WithWindow(10*time.Microsecond, 10*time.Nanosecond))
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.net.Close()
+		if err := r.attach(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.drive(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if res := r.result(); res.Packets != 0 {
+			t.Fatalf("k=%d: %d packets delivered in the window, want none", k, res.Packets)
+		}
+		return testing.AllocsPerRun(5, func() { r.result() }), len(r.net.Channels())
+	}
+	small, smallChans := allocs(4)
+	large, largeChans := allocs(8)
+	if large != small {
+		t.Errorf("result allocates %v times over %d channels and %v times over %d, want no allocation per channel",
+			small, smallChans, large, largeChans)
 	}
 }
