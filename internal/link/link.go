@@ -129,23 +129,14 @@ func (l RateLadder) Up(r Rate) Rate {
 	return l[i+1]
 }
 
-// Ladder is a validated RateLadder prepared to be shared: every channel
-// of a fabric points at one, so a channel holds its rate and its cap as
-// rung numbers instead of a slice header and two rates.
-type Ladder struct {
-	rates RateLadder
-	kbit  []sim.Time // rates[i].kbitTime()
-}
+// Ladder is a RateLadder shared by many channels: every channel of a
+// fabric points at one, so a channel holds its rate and its cap as rung
+// numbers instead of a slice header and two rates.
+type Ladder struct{ rates RateLadder }
 
-// NewLadder prepares rates, which must be valid (RateLadder.Validate),
-// for sharing among channels.
-func NewLadder(rates RateLadder) *Ladder {
-	l := &Ladder{rates: rates, kbit: make([]sim.Time, len(rates))}
-	for i, r := range rates {
-		l.kbit[i] = r.kbitTime()
-	}
-	return l
-}
+// NewLadder shares rates, which must be valid (RateLadder.Validate),
+// among channels.
+func NewLadder(rates RateLadder) *Ladder { return &Ladder{rates: rates} }
 
 // rung returns r's position on the ladder; it panics when r is not on
 // it.
@@ -315,7 +306,7 @@ type Channel struct {
 	// degraded lane keeps the SerDes from training its full mode (fault
 	// injection). SetRate and PowerOn clamp against it.
 	rung, capRung uint8
-	// kbitTime is the rung's kbitTime, refreshed with every write of
+	// kbitTime is the rate's kbitTime, refreshed with every write of
 	// rung, so a send costs no 64-bit division.
 	kbitTime sim.Time
 	// reconfigUntil is when the current reactivation completes.
@@ -382,7 +373,7 @@ func (c *Channel) InitShared(l *Ladder) {
 }
 
 // setRung writes the rate's rung and its transmit factor together.
-func (c *Channel) setRung(i uint8) { c.rung, c.kbitTime = i, c.ladder.kbit[i] }
+func (c *Channel) setRung(i uint8) { c.rung, c.kbitTime = i, c.ladder.rates[i].kbitTime() }
 
 // MustChannel is NewChannel that panics on error.
 func MustChannel(ladder RateLadder) *Channel {
