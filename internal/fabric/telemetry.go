@@ -41,9 +41,10 @@ func (c *Chan) Label() string {
 // link.tx_pkts binds a pre-resolved Counter handle to each channel
 // (Network.mTx, by channel index), which the delivery path increments —
 // one add per hop, zero allocations (see
-// BenchmarkNetworkThroughputMetrics and the zero-allocation test). Host-attachment channels are
-// aggregated into the net.* series rather than getting per-link
-// series, keeping the sampled width proportional to the switch fabric.
+// BenchmarkNetworkThroughputMetrics and the zero-allocation test).
+// Host-attachment channels are aggregated into the net.* series rather
+// than getting per-link series, keeping the sampled width proportional
+// to the switch fabric.
 func (n *Network) RegisterMetrics(reg *telemetry.Registry) error {
 	netGauges := map[string]func() float64{
 		"net.injected_pkts":    func() float64 { p, _ := n.Injected(); return float64(p) },
