@@ -110,10 +110,12 @@ func (c *Config) validate() error {
 // with what the per-packet path touches: the credit FIFO, the shard
 // wiring and the flags a send and an arrival read, then the link, whose
 // own send-path fields come first, so a send reads the record's first
-// two cache lines. What a channel needs only sometimes lives outside
-// it, indexed by idx: cold state (fault epochs, drop counters) in the
-// parallel chanCold array, the tx_pkts counter in Network.mTx, and the
-// network itself is reached through the shard runtime.
+// two cache lines. The lane an arrival keys its credit return with sits
+// in the last line, beside the destination the arrival reads there
+// anyway. What a channel needs only sometimes lives outside it, indexed
+// by idx: cold state (fault epochs, drop counters) in the parallel
+// chanCold array, the tx_pkts counter in Network.mTx, and the network
+// itself is reached through the shard runtime.
 type Chan struct {
 	// Sender-side credit state. credits is the pool, less the returning
 	// credits not yet settled into it. Those form a FIFO linked through
@@ -126,8 +128,8 @@ type Chan struct {
 	// the scheduling entity's lane (src for arrivals/deliveries, dst for
 	// the credit return) and land on the receiving entity's engine —
 	// directly when sameShard, via the staging buffers otherwise.
-	srcRT, dstRT     *shardRT
-	srcLane, dstLane *sim.Lane
+	srcRT, dstRT *shardRT
+	srcLane      *sim.Lane
 
 	idx       int32 // position in Network.chans; trace thread id
 	waiting   bool  // the sender is blocked awaiting credits
@@ -137,6 +139,7 @@ type Chan struct {
 
 	L link.Channel
 
+	dstLane  *sim.Lane // see the shard wiring above
 	Src, Dst topo.Endpoint
 }
 

@@ -254,7 +254,10 @@ func TestMsgWindow(t *testing.T) {
 // channel: every Chan field and every field of the link.Channel it
 // holds that a send (pumpOut, takeCredits, StartTransmit,
 // deliverAcross) reads lies in the record's first two cache lines,
-// which stay whole in a line-aligned backing array.
+// which stay whole in a line-aligned backing array; that the link's
+// state, rung and ladder share a line, so reading a channel's state and
+// rate costs one; and that the lane an arrival keys its credit with
+// shares a line with the destination it reads.
 func TestHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 64 {
 		t.Errorf("Packet is %d bytes, want 64", got)
@@ -299,5 +302,19 @@ func TestHotLayout(t *testing.T) {
 		if f.off+f.size > 2*line {
 			t.Errorf("Chan.%s at bytes [%d, %d) leaves the first two cache lines", f.name, f.off, f.off+f.size)
 		}
+	}
+	lineOf := func(name string) uintptr {
+		f, ok := lt.FieldByName(name)
+		if !ok {
+			t.Fatalf("link.Channel has no field %s", name)
+		}
+		return (unsafe.Offsetof(c.L) + f.Offset) / line
+	}
+	if l := lineOf("state"); lineOf("rung") != l || lineOf("ladder") != l {
+		t.Errorf("the link's state, rung and ladder lie in lines %d, %d and %d, want one",
+			l, lineOf("rung"), lineOf("ladder"))
+	}
+	if a, b := unsafe.Offsetof(c.dstLane)/line, (unsafe.Offsetof(c.Dst)+unsafe.Offsetof(c.Dst.ID))/line; a != b {
+		t.Errorf("Chan.dstLane lies in line %d and Dst.ID in line %d, want one", a, b)
 	}
 }

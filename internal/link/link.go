@@ -291,12 +291,14 @@ func (o Occupancy) OffFraction() float64 {
 // scheduler.
 //
 // The fields a transmission reads and writes (AvailableAt,
-// TransmitTime, StartTransmit) come first, in the leading 72 bytes, so
+// TransmitTime, StartTransmit) come first, in the leading 80 bytes, so
 // a container that holds the channel by value can place them in the
 // same cache lines as its own per-packet state. The rate and the rate
 // cap are rung numbers on a shared Ladder, so the whole channel is 152
-// bytes. A Channel must not be copied once in use: go vet's copylocks
-// check flags a copy.
+// bytes, and the ladder pointer sits beside the state and rung bytes,
+// so a reader of a channel's state and rate (a power meter, the rate
+// controller) reads one cache line. A Channel must not be copied once
+// in use: go vet's copylocks check flags a copy.
 type Channel struct {
 	noCopy noCopy
 
@@ -306,6 +308,7 @@ type Channel struct {
 	// degraded lane keeps the SerDes from training its full mode (fault
 	// injection). SetRate and PowerOn clamp against it.
 	rung, capRung uint8
+	ladder        *Ladder
 	// kbitTime is the rate's kbitTime, refreshed with every write of
 	// rung, so a send costs no 64-bit division.
 	kbitTime sim.Time
@@ -323,8 +326,6 @@ type Channel struct {
 
 	totalBytes   int64
 	totalPackets int64
-
-	ladder *Ladder
 
 	// Accounting.
 	lastChange     sim.Time
