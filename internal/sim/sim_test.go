@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -246,25 +245,36 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 }
 
 // TestGrowthDoubles pushes n events, half into the ring and half past
-// its horizon into the heap, and weighs everything the engine allocated
-// on the way against the arrays it ends with. The payload slab, the
-// nodes and the heap tier double when full, and the ring doubles by
-// construction, so the sum is at most about twice the final arrays;
-// append's own growth of about 1.25x makes it about five times.
+// its horizon into the heap, and adds up the arrays the engine drops as
+// it grows. The payload slab, the nodes and the heap tier double when
+// full, and the ring doubles by construction, so what is dropped adds
+// up to less than the arrays it ends with; append's own growth of about
+// 1.25x drops about four times them.
 func TestGrowthDoubles(t *testing.T) {
 	const n = 1 << 16
 	e := New()
 	fn := func(Time, any, int64) {}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	var dropped uint64
 	for i := 0; i < n; i++ {
+		slab, nodes, heap, ring := cap(e.slab), cap(e.nodes), cap(e.heap), cap(e.ring)
 		at := Time(i) * Nanosecond
 		if i%2 == 1 {
 			at += Second
 		}
 		e.PushKeyed(at, uint64(i), fn, nil, 0)
+		if cap(e.slab) != slab {
+			dropped += uint64(slab) * uint64(unsafe.Sizeof(payload{}))
+		}
+		if cap(e.nodes) != nodes {
+			dropped += uint64(nodes) * uint64(unsafe.Sizeof(node{}))
+		}
+		if cap(e.heap) != heap {
+			dropped += uint64(heap) * uint64(unsafe.Sizeof(item{}))
+		}
+		if cap(e.ring) != ring {
+			dropped += uint64(ring)*uint64(unsafe.Sizeof(bucket{})) + uint64(ring/64)*8
+		}
 	}
-	runtime.ReadMemStats(&m1)
 	if e.inRing == 0 || len(e.heap) == 0 {
 		t.Fatalf("ring holds %d events and heap %d, want both tiers used", e.inRing, len(e.heap))
 	}
@@ -273,10 +283,8 @@ func TestGrowthDoubles(t *testing.T) {
 		uint64(cap(e.heap))*uint64(unsafe.Sizeof(item{})) +
 		uint64(cap(e.ring))*uint64(unsafe.Sizeof(bucket{})) +
 		uint64(cap(e.used))*8
-	got := m1.TotalAlloc - m0.TotalAlloc
-	t.Logf("allocated %d B for %d B of final arrays (%.2fx)", got, final, float64(got)/float64(final))
-	if float64(got) > 2.25*float64(final) {
-		t.Errorf("pushing %d events allocated %d B, %.2fx the %d B of final arrays; want at most 2.25x",
-			n, got, float64(got)/float64(final), final)
+	if dropped > final {
+		t.Errorf("pushing %d events dropped %d B of outgrown arrays, %.2fx the %d B it ends with; want at most 1x",
+			n, dropped, float64(dropped)/float64(final), final)
 	}
 }
