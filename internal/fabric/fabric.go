@@ -352,11 +352,10 @@ type Network struct {
 	faultsEnabled bool
 	deadSwitch    []bool
 
-	// mTx holds each channel's pre-resolved tx_pkts counter handle, by
-	// Chan.idx, nil on host channels. It stays nil until RegisterMetrics
-	// fills it, so a run without telemetry reads one nil slice on a
-	// send.
-	mTx []*telemetry.Counter
+	// mTx counts each channel's transmissions for link.tx_pkts, by
+	// Chan.idx. It stays nil until RegisterMetrics makes it, so a run
+	// without telemetry reads one nil slice on a send.
+	mTx []int64
 }
 
 // buildWorkers overrides the construction worker count (0 = one per
@@ -666,7 +665,7 @@ func (n *Network) deliverAcross(c *Chan, pkt *Packet, start, done sim.Time) {
 		pkt.chEpoch = n.chanCold[c.idx].failEpoch
 	}
 	if n.mTx != nil {
-		n.mTx[c.idx].Inc()
+		n.mTx[c.idx]++
 	}
 	if pkt.trace != nil {
 		// Close the hop: under cut-through only the final (host-bound)

@@ -16,7 +16,8 @@ import (
 // directly on the delivery path.
 type Histogram struct {
 	name   string
-	labels []Label
+	keys   []string // label keys, and their values in values
+	values []string
 	uppers []float64 // ascending bucket upper bounds
 	counts []int64   // len(uppers)+1; last is the +Inf overflow bucket
 	sum    float64
@@ -77,11 +78,20 @@ func (r *Registry) Histogram(name string, uppers []float64, labels ...Label) (*H
 		return nil, err
 	}
 	h.name = name
-	h.labels = labels
-	if err := r.register(name+".count", labels, kindHistPart, func() float64 { h.sync(); return float64(h.n) }); err != nil {
-		return nil, err
+	for _, l := range labels {
+		h.keys = append(h.keys, l.Key)
+		h.values = append(h.values, l.Value)
 	}
-	if err := r.register(name+".sum", labels, kindHistPart, func() float64 { h.sync(); return h.sum }); err != nil {
+	err = r.add(Block{
+		Families: []Family{{Name: name + ".count"}, {Name: name + ".sum"}},
+		Keys:     h.keys,
+		Values:   h.values,
+		Fill: func(dst []float64) {
+			h.sync()
+			dst[0], dst[1] = float64(h.n), h.sum
+		},
+	}, true)
+	if err != nil {
 		return nil, err
 	}
 	r.hists = append(r.hists, h)

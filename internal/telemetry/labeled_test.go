@@ -46,25 +46,88 @@ func TestCounterVecSeries(t *testing.T) {
 	}
 }
 
-func TestGaugeVecSeries(t *testing.T) {
+// TestBlockSeries checks a block's series: identities family-major in
+// column order, one fill call per read writing every column, counters
+// and gauges typed apart in the scrape, and a rejected block leaving
+// the registry as it was.
+func TestBlockSeries(t *testing.T) {
 	r := NewRegistry()
-	v := r.GaugeVec("switch.queue_bytes", "sw", "port")
-	g, err := v.With("0", "4")
+	if err := r.GaugeFunc("net.backlog_bytes", func() float64 { return 42 }); err != nil {
+		t.Fatal(err)
+	}
+	queued := []float64{1500, 7}
+	sent := []float64{3, 4}
+	fills := 0
+	err := r.Block(Block{
+		Families: []Family{{Name: "port.queue_bytes"}, {Name: "port.tx_pkts", Counter: true}},
+		Keys:     []string{"sw", "port"},
+		Values:   []string{"0", "4", "0", "5"},
+		Fill: func(dst []float64) {
+			fills++
+			copy(dst[:2], queued)
+			copy(dst[2:], sent)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Set(1500)
-	if err := v.WithFunc(func() float64 { return 7 }, "0", "5"); err != nil {
-		t.Fatal(err)
-	}
-	names := r.Names()
-	if names[0] != "switch.queue_bytes{sw=0;port=4}" {
-		t.Errorf("identity = %q", names[0])
+	want := []string{"net.backlog_bytes",
+		"port.queue_bytes{sw=0;port=4}", "port.queue_bytes{sw=0;port=5}",
+		"port.tx_pkts{sw=0;port=4}", "port.tx_pkts{sw=0;port=5}"}
+	if got := r.Names(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("Names = %v, want %v", got, want)
 	}
 	vals := make([]float64, r.Len())
 	r.ReadInto(vals)
-	if vals[0] != 1500 || vals[1] != 7 {
-		t.Errorf("ReadInto = %v", vals)
+	if fills != 1 || vals[0] != 42 || vals[1] != 1500 || vals[2] != 7 || vals[3] != 3 || vals[4] != 4 {
+		t.Errorf("ReadInto = %v after %d fills, want [42 1500 7 3 4] after 1", vals, fills)
+	}
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wantProm := "# TYPE net_backlog_bytes gauge\n" +
+		"net_backlog_bytes 42\n" +
+		"# TYPE port_queue_bytes gauge\n" +
+		"port_queue_bytes{sw=\"0\",port=\"4\"} 1500\n" +
+		"port_queue_bytes{sw=\"0\",port=\"5\"} 7\n" +
+		"# TYPE port_tx_pkts counter\n" +
+		"port_tx_pkts{sw=\"0\",port=\"4\"} 3\n" +
+		"port_tx_pkts{sw=\"0\",port=\"5\"} 4\n"
+	if buf.String() != wantProm {
+		t.Errorf("WritePrometheus =\n%s\nwant\n%s", buf.String(), wantProm)
+	}
+
+	// A block whose second family collides, one whose label values do
+	// not divide into whole entities, and one with no fill are all
+	// rejected without mutating the registry.
+	fill := func(dst []float64) {}
+	for _, b := range []Block{
+		{Families: []Family{{Name: "fresh"}, {Name: "port.tx_pkts"}}, Keys: []string{"sw", "port"}, Values: []string{"0", "5"}, Fill: fill},
+		{Families: []Family{{Name: "fresh"}}, Keys: []string{"sw", "port"}, Values: []string{"0", "5", "1"}, Fill: fill},
+		{Families: []Family{{Name: "fresh"}}},
+		{Families: []Family{{Name: ""}}, Fill: fill},
+	} {
+		if err := r.Block(b); err == nil {
+			t.Errorf("block %+v accepted", b.Families)
+		}
+	}
+	if r.Len() != 5 {
+		t.Errorf("rejected blocks mutated the registry: Len = %d", r.Len())
+	}
+	// The rejected block's first family left no identity behind.
+	if err := r.Block(Block{Families: []Family{{Name: "fresh"}}, Keys: []string{"sw", "port"}, Values: []string{"0", "5"}, Fill: fill}); err != nil {
+		t.Errorf("registering after a rolled-back block: %v", err)
+	}
+	// A block without keys is one entity of plain scalars.
+	if err := r.Block(Block{Families: []Family{{Name: "a"}, {Name: "b"}}, Fill: func(dst []float64) { dst[0], dst[1] = 1, 2 }}); err != nil {
+		t.Fatal(err)
+	}
+	vals = make([]float64, r.Len())
+	r.ReadInto(vals)
+	if names := r.Names(); names[6] != "a" || names[7] != "b" || vals[6] != 1 || vals[7] != 2 {
+		t.Errorf("scalar block: %v = %v", names[6:], vals[6:])
 	}
 }
 
@@ -82,7 +145,8 @@ func TestLabelValidation(t *testing.T) {
 		{Key: "k{", Value: "x"},
 	}
 	for _, l := range bad {
-		if err := r.register("m", []Label{l}, kindGauge, func() float64 { return 0 }); err == nil {
+		b := Block{Families: []Family{{Name: "m"}}, Keys: []string{l.Key}, Values: []string{l.Value}, Fill: func([]float64) {}}
+		if err := r.Block(b); err == nil {
 			t.Errorf("label %q=%q accepted", l.Key, l.Value)
 		}
 	}

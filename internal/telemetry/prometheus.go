@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -27,73 +26,90 @@ func promName(name string) string {
 	return b.String()
 }
 
-// writeLabels renders {k="v",k2="v2"}, with extra appended last (used
-// for histogram "le" bounds). Values are %q-escaped.
-func writeLabels(bw *bufio.Writer, labels []Label, extra ...Label) {
-	if len(labels)+len(extra) == 0 {
+// writeLabels renders {k="v",k2="v2"} from parallel keys and values,
+// with le, when non-empty, appended last (a histogram bucket's bound).
+// Values are quoted as %q quotes them.
+func writeLabels(bw *bufio.Writer, keys, values []string, le string) {
+	if len(keys) == 0 && le == "" {
 		return
 	}
-	bw.WriteByte('{')
-	n := 0
-	for _, l := range labels {
-		if n > 0 {
-			bw.WriteByte(',')
+	b := append(bw.AvailableBuffer(), '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		fmt.Fprintf(bw, "%s=%q", l.Key, l.Value)
-		n++
+		b = strconv.AppendQuote(append(append(b, k...), '='), values[i])
 	}
-	for _, l := range extra {
-		if n > 0 {
-			bw.WriteByte(',')
+	if le != "" {
+		if len(keys) > 0 {
+			b = append(b, ',')
 		}
-		fmt.Fprintf(bw, "%s=%q", l.Key, l.Value)
-		n++
+		b = strconv.AppendQuote(append(b, "le="...), le)
 	}
-	bw.WriteByte('}')
+	bw.Write(append(b, '}'))
+}
+
+// famPart is one block's share of a family: the block, whether the
+// family is a counter there, and the column its first series reads.
+type famPart struct {
+	b       *block
+	counter bool
+	col     int
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one # TYPE line per family followed by its
 // series. Families appear in first-registration order; series within a
 // family are grouped together regardless of interleaved registration,
-// so scrapers see contiguous TYPE blocks. Histograms render as full
+// so scrapers see contiguous TYPE blocks. Values are read through the
+// same block fills a sampler tick uses. Histograms render as full
 // _bucket/_sum/_count families with cumulative le bounds; their scalar
 // .count/.sum sampler entries are skipped here to avoid duplication.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	seen := make(map[string]bool, len(r.entries))
-	order := make([]string, 0, len(r.entries))
-	byName := make(map[string][]entry, len(r.entries))
-	for _, e := range r.entries {
-		if e.kind == kindHistPart {
-			continue
-		}
-		if !seen[e.name] {
-			seen[e.name] = true
-			order = append(order, e.name)
-		}
-		byName[e.name] = append(byName[e.name], e)
+	if len(r.scrape) != len(r.names) {
+		r.scrape = make([]float64, len(r.names))
 	}
+	vals := r.scrape
+	r.ReadInto(vals)
+	var order []string
+	parts := make(map[string][]famPart)
+	col := 0
+	for i := range r.blocks {
+		b := &r.blocks[i]
+		for _, f := range b.Families {
+			if !b.hist && b.n > 0 {
+				if _, ok := parts[f.Name]; !ok {
+					order = append(order, f.Name)
+				}
+				parts[f.Name] = append(parts[f.Name], famPart{b, f.Counter, col})
+			}
+			col += b.n
+		}
+	}
+	bw := bufio.NewWriter(w)
 	for _, name := range order {
-		series := byName[name]
-		typ := "gauge"
-		if series[0].kind == kindCounter {
-			typ = "counter"
+		fp := parts[name]
+		typ := " gauge\n"
+		if fp[0].counter {
+			typ = " counter\n"
 		}
 		pn := promName(name)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", pn, typ)
-		for _, e := range series {
-			bw.WriteString(pn)
-			writeLabels(bw, e.labels)
-			bw.WriteByte(' ')
-			bw.Write(appendValue(bw.AvailableBuffer(), e.read()))
-			bw.WriteByte('\n')
+		bw.WriteString("# TYPE " + pn + typ)
+		for _, p := range fp {
+			nk := len(p.b.Keys)
+			for e := 0; e < p.b.n; e++ {
+				bw.WriteString(pn)
+				writeLabels(bw, p.b.Keys, p.b.Values[e*nk:(e+1)*nk], "")
+				bw.WriteByte(' ')
+				bw.Write(appendValue(bw.AvailableBuffer(), vals[p.col+e]))
+				bw.WriteByte('\n')
+			}
 		}
 	}
 	for _, h := range r.hists {
 		h.sync()
 		pn := promName(h.name)
-		fmt.Fprintf(bw, "# TYPE %s histogram\n", pn)
+		bw.WriteString("# TYPE " + pn + " histogram\n")
 		var cum int64
 		for i, c := range h.counts {
 			upper := "+Inf"
@@ -103,20 +119,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			cum += c
 			bw.WriteString(pn)
 			bw.WriteString("_bucket")
-			writeLabels(bw, h.labels, Label{Key: "le", Value: upper})
+			writeLabels(bw, h.keys, h.values, upper)
 			bw.WriteByte(' ')
 			bw.WriteString(strconv.FormatInt(cum, 10))
 			bw.WriteByte('\n')
 		}
 		bw.WriteString(pn)
 		bw.WriteString("_sum")
-		writeLabels(bw, h.labels)
+		writeLabels(bw, h.keys, h.values, "")
 		bw.WriteByte(' ')
 		bw.Write(appendValue(bw.AvailableBuffer(), h.sum))
 		bw.WriteByte('\n')
 		bw.WriteString(pn)
 		bw.WriteString("_count")
-		writeLabels(bw, h.labels)
+		writeLabels(bw, h.keys, h.values, "")
 		bw.WriteByte(' ')
 		bw.WriteString(strconv.FormatInt(h.n, 10))
 		bw.WriteByte('\n')

@@ -26,6 +26,10 @@ const (
 // than this (a paper-scale registry) goes out as one write per tick.
 const flushAt = 64 << 10
 
+// rowBuffers is how many rows of values a streaming sampler holds: one
+// the engine is reading, one queued, one being encoded.
+const rowBuffers = 3
+
 // Sampler periodically reads a registry's metrics and streams each row
 // to its sink as it is taken. It is driven by the simulation engine:
 // Start writes the header, takes an immediate baseline sample and
@@ -33,10 +37,13 @@ const flushAt = 64 << 10
 // and Finish takes one final sample covering the partial last interval
 // when the simulation ends off the tick grid.
 //
-// Memory is O(series) however long the run: one row of values and one
-// line buffer, both reused every tick, so a tick allocates nothing. A
-// sampler without a sink reads and keeps nothing; it only paces
-// OnSample.
+// A tick on the engine thread only reads the registry into a recycled
+// row and hands it over; a goroutine of the sampler's own formats the
+// rows in order and writes them to the sink, so encoding overlaps the
+// simulation. Memory is O(series) however long the run: rowBuffers
+// rows of values and one line buffer, all reused, so a tick allocates
+// nothing. A sampler without a sink starts no goroutine and reads and
+// keeps nothing; it only paces OnSample.
 type Sampler struct {
 	reg      *Registry
 	interval sim.Time
@@ -49,12 +56,24 @@ type Sampler struct {
 	// live-inspection publisher hangs off this hook.
 	OnSample func(now sim.Time)
 
-	keys   []string  // JSONL only: each metric name, quoted once at Start
-	row    []float64 // the values of the sample being encoded
-	buf    []byte    // encoded rows not yet written to the sink
-	err    error     // the sink's first write error
-	lastAt sim.Time  // time of the latest sample; -1 before the first
+	// Engine side. rows is nil unless the encoder is running.
+	free   chan []float64 // rows the encoder is done with
+	rows   chan row       // sampled rows awaiting encoding, in order
+	done   chan struct{}  // closed once the encoder has written its last row
+	lastAt sim.Time       // time of the latest sample; -1 before the first
 	tick   sim.Event
+
+	// Encoder side: set up by Start, then owned by the encoder until
+	// done is closed.
+	keys []string // JSONL only: each metric name, quoted once at Start
+	buf  []byte   // encoded rows not yet written to the sink
+	err  error    // the sink's first write error
+}
+
+// row is one sample handed from the engine to the encoder.
+type row struct {
+	at   sim.Time
+	vals []float64
 }
 
 // NewSampler returns a sampler reading reg every interval and streaming
@@ -68,9 +87,9 @@ func NewSampler(reg *Registry, interval sim.Time, sink io.Writer, enc Encoding) 
 }
 
 // Start locks in the registry's current metric set (metrics registered
-// later are not sampled), writes the CSV header, takes an immediate
-// baseline sample, and schedules ticks every interval while the next
-// tick is <= until.
+// later are not sampled), writes the CSV header, starts the encoder,
+// takes an immediate baseline sample, and schedules ticks every
+// interval while the next tick is <= until.
 //
 // The <= comparison plus Engine.RunUntil's fire-events-at-deadline
 // semantics guarantee a row at exactly until when the horizon is an
@@ -79,7 +98,6 @@ func NewSampler(reg *Registry, interval sim.Time, sink io.Writer, enc Encoding) 
 func (s *Sampler) Start(e *sim.Engine, until sim.Time) {
 	if s.sink != nil {
 		names := s.reg.Names()
-		s.row = make([]float64, len(names))
 		if s.enc == JSONL {
 			s.keys = make([]string, len(names))
 			for i, n := range names {
@@ -92,6 +110,13 @@ func (s *Sampler) Start(e *sim.Engine, until sim.Time) {
 			}
 			s.buf = append(s.buf, '\n')
 		}
+		s.free = make(chan []float64, rowBuffers)
+		for range rowBuffers {
+			s.free <- make([]float64, len(names))
+		}
+		s.rows = make(chan row, rowBuffers)
+		s.done = make(chan struct{})
+		go s.encodeRows()
 	}
 	s.sample(e.Now())
 	s.tick = func(now sim.Time) {
@@ -108,39 +133,60 @@ func (s *Sampler) Start(e *sim.Engine, until sim.Time) {
 // Finish takes a final sample at now unless a tick already sampled that
 // instant — the partial-last-interval case: a horizon that is not a
 // multiple of the interval still gets an end-of-run data point. It then
-// writes out the rows still buffered and returns the sink's first write
-// error. Closing the sink stays with its owner.
+// waits for the encoder to write out every row and returns the sink's
+// first write error. The stream ends here: later samples only pace
+// OnSample. Closing the sink stays with its owner.
 func (s *Sampler) Finish(now sim.Time) error {
 	if s.lastAt != now {
 		s.sample(now)
 	}
-	s.flush()
+	if s.rows != nil {
+		close(s.rows)
+		<-s.done
+		s.rows = nil
+	}
 	return s.err
 }
 
-// sample reads and encodes one row at time now.
+// sample reads one row at time now and hands it to the encoder.
 func (s *Sampler) sample(now sim.Time) {
 	s.lastAt = now
-	if s.sink != nil && s.err == nil {
-		s.reg.ReadInto(s.row)
-		s.encode(now)
-		if len(s.buf) >= flushAt {
-			s.flush()
-		}
+	if s.rows != nil {
+		vals := <-s.free
+		s.reg.ReadInto(vals)
+		s.rows <- row{at: now, vals: vals}
 	}
 	if s.OnSample != nil {
 		s.OnSample(now)
 	}
 }
 
-// encode appends the current row, sampled at now, to the line buffer.
-func (s *Sampler) encode(now sim.Time) {
+// encodeRows is the encoder goroutine: it encodes the rows in the order
+// they were sampled, writes them out in batches of about flushAt bytes,
+// and returns each row for reuse. After a write error it encodes
+// nothing more.
+func (s *Sampler) encodeRows() {
+	defer close(s.done)
+	for r := range s.rows {
+		if s.err == nil {
+			s.encode(r.at, r.vals)
+			if len(s.buf) >= flushAt {
+				s.flush()
+			}
+		}
+		s.free <- r.vals
+	}
+	s.flush()
+}
+
+// encode appends the row vals, sampled at now, to the line buffer.
+func (s *Sampler) encode(now sim.Time, vals []float64) {
 	b := s.buf
 	if s.enc == JSONL {
 		b = append(b, `{"t_us":`...)
 		b = strconv.AppendFloat(b, now.Microseconds(), 'f', -1, 64)
 		b = append(b, `,"metrics":{`...)
-		for i, v := range s.row {
+		for i, v := range vals {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -150,7 +196,7 @@ func (s *Sampler) encode(now sim.Time) {
 		b = append(b, "}}\n"...)
 	} else {
 		b = strconv.AppendFloat(b, now.Microseconds(), 'f', -1, 64)
-		for _, v := range s.row {
+		for _, v := range vals {
 			b = appendValue(append(b, ','), v)
 		}
 		b = append(b, '\n')
@@ -161,7 +207,7 @@ func (s *Sampler) encode(now sim.Time) {
 // flush writes the buffered rows to the sink, latching the first error;
 // after one, rows are dropped.
 func (s *Sampler) flush() {
-	if s.sink != nil && s.err == nil && len(s.buf) > 0 {
+	if s.err == nil && len(s.buf) > 0 {
 		_, s.err = s.sink.Write(s.buf)
 	}
 	s.buf = s.buf[:0]

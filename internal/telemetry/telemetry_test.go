@@ -6,9 +6,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"epnet/internal/sim"
 )
@@ -274,6 +276,50 @@ func TestSamplerLatchesWriteError(t *testing.T) {
 	}
 	if w.n != 1 {
 		t.Errorf("sink saw %d writes, want 1 (none after the first failure)", w.n)
+	}
+}
+
+// slowWriter keeps what it is given, pausing on every write so that
+// the engine side outruns the encoder.
+type slowWriter struct{ bytes.Buffer }
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return w.Buffer.Write(p)
+}
+
+// TestSamplerStreamsInOrder: rows reach the sink in sample order, each
+// holding the values read at its own instant, when the sink is slower
+// than the engine and every sample waits for a row the encoder has
+// finished with. Each row is larger than flushAt, so each is a write.
+func TestSamplerStreamsInOrder(t *testing.T) {
+	e := sim.New()
+	r := tickRegistry(flushAt / 2)
+	if err := r.GaugeFunc("sim.now_us", func() float64 { return e.Now().Microseconds() }); err != nil {
+		t.Fatal(err)
+	}
+	w := &slowWriter{}
+	s, err := NewSampler(r, sim.Microsecond, w, CSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 4 * rowBuffers
+	s.Start(e, ticks*sim.Microsecond)
+	e.RunUntil(ticks * sim.Microsecond)
+	if err := s.Finish(e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	times, rows := parseSeries(t, w.Bytes())
+	if len(times) != ticks+1 {
+		t.Fatalf("%d rows, want %d", len(times), ticks+1)
+	}
+	want := make([]float64, r.Len())
+	r.ReadInto(want)
+	for i, row := range rows {
+		want[len(want)-1] = float64(i)
+		if times[i] != float64(i) || !slices.Equal(row, want) {
+			t.Fatalf("row %d at %v us differs from the registry's values at %d us", i, times[i], i)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import "fmt"
 
 // CounterVec is a family of counters sharing one metric name and a
 // fixed set of label keys, distinguished by label values — e.g.
-// "link.tx_pkts" keyed by "link". With resolves one labeled series to
+// "ctrl.retunes" keyed by "dir". With resolves one labeled series to
 // a plain *Counter handle up front, so the instrumented hot path pays
 // exactly what an unlabeled counter costs: a nil check and an
 // increment, zero allocations and zero map lookups per event.
@@ -20,67 +20,16 @@ func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
 	return &CounterVec{reg: r, name: name, keys: keys}
 }
 
-// labelsFor pairs the family's keys with one series' values.
-func labelsFor(name string, keys, values []string) ([]Label, error) {
-	if len(values) != len(keys) {
-		return nil, fmt.Errorf("telemetry: %s expects %d label values, got %d", name, len(keys), len(values))
-	}
-	labels := make([]Label, len(keys))
-	for i, k := range keys {
-		labels[i] = Label{Key: k, Value: values[i]}
-	}
-	return labels, nil
-}
-
 // With registers and returns the series for the given label values.
 // Each distinct value tuple may be resolved once; a second resolution
 // is a collision error, like any duplicate registration.
 func (v *CounterVec) With(values ...string) (*Counter, error) {
-	labels, err := labelsFor(v.name, v.keys, values)
-	if err != nil {
-		return nil, err
+	if len(values) != len(v.keys) {
+		return nil, fmt.Errorf("telemetry: %s expects %d label values, got %d", v.name, len(v.keys), len(values))
 	}
 	c := &Counter{}
-	if err := v.reg.register(v.name, labels, kindCounter, func() float64 { return float64(c.v) }); err != nil {
+	if err := v.reg.scalar(Family{Name: v.name, Counter: true}, v.keys, values, func() float64 { return float64(c.v) }); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// GaugeVec is the gauge analogue of CounterVec: one family name, fixed
-// label keys, per-series handles or read functions resolved up front.
-type GaugeVec struct {
-	reg  *Registry
-	name string
-	keys []string
-}
-
-// GaugeVec returns a gauge family with the given label keys.
-func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
-	return &GaugeVec{reg: r, name: name, keys: keys}
-}
-
-// With registers and returns a settable gauge for the given label
-// values.
-func (v *GaugeVec) With(values ...string) (*Gauge, error) {
-	labels, err := labelsFor(v.name, v.keys, values)
-	if err != nil {
-		return nil, err
-	}
-	g := &Gauge{}
-	if err := v.reg.register(v.name, labels, kindGauge, func() float64 { return g.v }); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// WithFunc registers a computed gauge for the given label values — the
-// usual form for exposing per-entity component state (queue depths,
-// link rates) without touching the component's hot path.
-func (v *GaugeVec) WithFunc(fn func() float64, values ...string) error {
-	labels, err := labelsFor(v.name, v.keys, values)
-	if err != nil {
-		return err
-	}
-	return v.reg.register(v.name, labels, kindGauge, fn)
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"strings"
 
-	"epnet/internal/power"
 	"epnet/internal/sim"
 	"epnet/internal/telemetry"
 )
@@ -114,11 +113,8 @@ func newObserver(r *run) (*observer, error) {
 				return nil, err
 			}
 		}
-		measured, ideal := r.meters()
-		for _, m := range []*power.Meter{measured, ideal} {
-			if err := m.RegisterMetrics(reg, r.e.Now); err != nil {
-				return nil, err
-			}
+		if err := r.powerMeter().RegisterMetrics(reg, r.e.Now); err != nil {
+			return nil, err
 		}
 		// Packet latency distribution, accumulated per shard by the
 		// run's delivery recorders; the view's refresh merges them with
@@ -252,8 +248,9 @@ func (o *observer) snapshot(now sim.Time) *snapshotDoc {
 		Policy:   o.cfg.Policy,
 		Seed:     o.cfg.Seed,
 	}
-	doc.Power.Measured = o.measured.Relative(now)
-	doc.Power.Ideal = o.ideal.Relative(now)
+	var rel [2]float64
+	o.powerMeter().Read(now, rel[:])
+	doc.Power.Measured, doc.Power.Ideal = rel[0], rel[1]
 	isc := o.net.InterSwitchChannels()
 	doc.Links = make([]snapLink, 0, len(isc))
 	for _, ch := range isc {

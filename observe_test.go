@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,6 +166,90 @@ func TestCanceledRunKeepsMetrics(t *testing.T) {
 	}
 	if got, want := strings.Join(times, " "), "0 50 100 150 200 230"; got != want {
 		t.Errorf("sampled at %s us, want %s", got, want)
+	}
+}
+
+// encoders counts the goroutines running a metrics sampler's encoder.
+func encoders() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "telemetry.(*Sampler).encodeRows(")
+}
+
+// encoderProbe is a context that counts the metrics encoders running at
+// each epoch boundary (advance checks Err once per epoch), keeping the
+// most it saw, and reports cancellation from its (n+1)th check on;
+// n < 0 never cancels.
+type encoderProbe struct {
+	context.Context
+	n, peak int
+}
+
+func (c *encoderProbe) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *encoderProbe) Err() error {
+	c.peak = max(c.peak, encoders())
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestMetricsEncoderLifecycle: a run that streams metrics runs exactly
+// one encoder goroutine beside the engine, and RunContext leaves no
+// goroutine behind when it returns, whether the run succeeded, was
+// canceled mid-run, or wrote to a failing sink. A run whose sampler
+// only feeds the inspector starts none.
+func TestMetricsEncoderLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		out      string // MetricsOut, under the test's directory unless absolute
+		cancelAt int    // epochs before cancellation; -1 runs to the end
+		wantErr  bool
+	}{
+		{"success", "metrics.csv", -1, false},
+		{"canceled", "metrics.jsonl", 23, true},
+		{"failing-sink", "/dev/full", -1, true},
+		{"inspector-only", "", -1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := observeConfig()
+			cfg.SampleInterval = 50 * time.Microsecond
+			switch {
+			case tc.out == "":
+				cfg.Inspector = NewInspector()
+			case filepath.IsAbs(tc.out):
+				if _, err := os.Stat(tc.out); err != nil {
+					t.Skipf("%s not available", tc.out)
+				}
+				cfg.MetricsOut = tc.out
+			default:
+				cfg.MetricsOut = filepath.Join(t.TempDir(), tc.out)
+			}
+			before := runtime.NumGoroutine()
+			ctx := &encoderProbe{Context: context.Background(), n: tc.cancelAt}
+			if _, err := RunContext(ctx, cfg); (err != nil) != tc.wantErr {
+				t.Fatalf("RunContext error = %v, want error %v", err, tc.wantErr)
+			}
+			want := 1
+			if cfg.MetricsOut == "" {
+				want = 0
+			}
+			if ctx.peak != want {
+				t.Errorf("%d metrics encoders ran during the run, want %d", ctx.peak, want)
+			}
+			// The encoder signals it is done just before it returns, and
+			// a finalizer may be running for an earlier test's file, so
+			// give both a moment.
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after RunContext returned, %d before it", n, before)
+			}
+		})
 	}
 }
 

@@ -163,8 +163,8 @@ type run struct {
 	obs             *observer
 	sample          sim.Event // the power-trace sampler, scheduled by drive
 
-	measured, ideal *power.Meter // instantaneous power; see meters
-	trace           []PowerSample
+	meter *power.Meter // instantaneous power; see powerMeter
+	trace []PowerSample
 }
 
 // build constructs the topology, the router and the fabric.
@@ -363,37 +363,34 @@ func (r *run) buildInjector() (*fault.Injector, error) {
 	return inj, nil
 }
 
-// meters returns the instantaneous measured and ideal power meters over
-// every channel, building them on first use. The power.* gauges and the
-// power trace read the same two.
-func (r *run) meters() (measured, ideal *power.Meter) {
-	if r.measured == nil {
+// powerMeter returns the instantaneous power meter over every channel,
+// under the measured and then the ideal profile, building it on first
+// use. The power.* gauges, the snapshot and the power trace read the
+// same one.
+func (r *run) powerMeter() *power.Meter {
+	if r.meter == nil {
 		chans := make([]*link.Channel, len(r.net.Channels()))
 		for i, ch := range r.net.Channels() {
 			chans[i] = &ch.L
 		}
-		r.measured = power.NewMeter(power.InfiniBandOptical(), chans)
-		r.ideal = power.NewMeter(power.NewIdeal(r.ladder().Max()), chans)
+		r.meter = power.NewMeter(chans, power.InfiniBandOptical(), power.NewIdeal(r.ladder().Max()))
 	}
-	return r.measured, r.ideal
+	return r.meter
 }
 
 // powerSampler returns the event that appends one Result.PowerTrace
 // sample and reschedules itself every interval until the horizon.
 func (r *run) powerSampler(interval sim.Time) sim.Event {
-	measured, ideal := r.meters()
-	chans := r.net.Channels()
-	capacity := float64(r.ladder().Max()) / 8 * interval.Seconds() * float64(len(chans))
+	meter := r.powerMeter()
+	capacity := float64(r.ladder().Max()) / 8 * interval.Seconds() * float64(len(r.net.Channels()))
 	var lastBytes int64
+	var rel [2]float64
 	var sample sim.Event
 	sample = func(now sim.Time) {
 		if now > r.horizon {
 			return
 		}
-		var bytes int64
-		for _, ch := range chans {
-			bytes += ch.L.TotalBytes()
-		}
+		bytes := meter.Read(now, rel[:])
 		util := 0.0
 		if capacity > 0 {
 			util = float64(bytes-lastBytes) / capacity
@@ -401,8 +398,8 @@ func (r *run) powerSampler(interval sim.Time) sim.Event {
 		lastBytes = bytes
 		r.trace = append(r.trace, PowerSample{
 			At:       toDuration(now - r.warmup),
-			Measured: measured.Relative(now),
-			Ideal:    ideal.Relative(now),
+			Measured: rel[0],
+			Ideal:    rel[1],
 			Util:     util,
 		})
 		r.e.After(interval, sample)
