@@ -145,10 +145,13 @@ smoke-scale:
 
 # Short run with the full observability stack on: labeled metrics CSV,
 # utilization heatmap + histogram, per-link attribution, and one live
-# scrape of the inspection endpoint. Then the grid commands: fig7's two
-# runs (metrics, flow report and Chrome trace) and a two-value sweep
-# must each write their numbered .000 and .001 files, non-empty. Files
-# land in /tmp/epnet-observe.
+# scrape of the inspection endpoint. Then a heatmap-only run (no metrics
+# file, no inspector: a sampler without a sink paces the heatmap), whose
+# heatmap and histogram must be non-empty and match the first run's.
+# Then the grid commands:
+# fig7's two runs (metrics, flow report and Chrome trace) and a
+# two-value sweep must each write their numbered .000 and .001 files,
+# non-empty. Files land in /tmp/epnet-observe.
 OBS := /tmp/epnet-observe
 observe-demo:
 	mkdir -p $(OBS)
@@ -157,16 +160,21 @@ observe-demo:
 		-heatmap-out $(OBS)/heatmap.csv \
 		-hist-out $(OBS)/hist.csv \
 		-attribution -listen 127.0.0.1:0
+	$(GO) run ./cmd/epsim -workload search -duration 1ms -warmup 200us \
+		-heatmap-out $(OBS)/heatmap-only.csv -hist-out $(OBS)/hist-only.csv
 	$(GO) run ./cmd/experiments -only fig7 -duration 200us -warmup 50us \
 		-metrics-out $(OBS)/fig7-metrics.csv -flows-out $(OBS)/fig7-flows.json \
 		-trace-out $(OBS)/fig7-trace.json
 	$(GO) run ./cmd/sweep -x target -values 0.25,0.5 -duration 200us -warmup 50us \
 		-metrics-out $(OBS)/sweep-metrics.csv -flows-out $(OBS)/sweep-flows.json
-	for f in fig7-metrics.000.csv fig7-metrics.001.csv fig7-flows.000.json fig7-flows.001.json \
+	for f in heatmap-only.csv hist-only.csv \
+		fig7-metrics.000.csv fig7-metrics.001.csv fig7-flows.000.json fig7-flows.001.json \
 		fig7-trace.000.json fig7-trace.001.json \
 		sweep-metrics.000.csv sweep-metrics.001.csv sweep-flows.000.json sweep-flows.001.json; do \
 		test -s $(OBS)/$$f || { echo "observe-demo: $(OBS)/$$f missing or empty"; exit 1; }; \
 	done
+	cmp $(OBS)/heatmap.csv $(OBS)/heatmap-only.csv
+	cmp $(OBS)/hist.csv $(OBS)/hist-only.csv
 	@ls -l $(OBS)
 
 # Engine self-profiling end to end: a sharded run with the partition

@@ -13,15 +13,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"epnet/internal/link"
+	"epnet/internal/scenario"
 	"epnet/internal/sim"
 	"epnet/internal/traffic"
 )
 
 func main() {
-	workload := flag.String("workload", "search", "workload: uniform | search | advert | permutation | hotspot")
+	workload := flag.String("workload", "search", "workload: "+strings.Join(scenario.Kinds(), " | "))
 	hosts := flag.Int("hosts", 64, "number of hosts")
 	horizon := flag.Duration("horizon", 20*time.Millisecond, "trace length (simulated)")
 	load := flag.Float64("load", 0, "override workload average utilization")
@@ -53,40 +55,9 @@ func main() {
 		fail(fmt.Errorf("-o is required (or use -inspect)"))
 	}
 
-	var w traffic.Workload
-	switch *workload {
-	case "uniform":
-		u := traffic.DefaultUniform(*seed)
-		if *load > 0 {
-			u.Load = *load
-		}
-		w = u
-	case "search":
-		s := traffic.Search(*seed)
-		if *load > 0 {
-			s.Load = *load
-		}
-		w = s
-	case "advert":
-		a := traffic.Advert(*seed)
-		if *load > 0 {
-			a.Load = *load
-		}
-		w = a
-	case "permutation":
-		l := *load
-		if l == 0 {
-			l = 0.1
-		}
-		w = &traffic.Permutation{MsgBytes: 64 * 1024, Load: l, LineRate: link.Rate40G, Seed: *seed}
-	case "hotspot":
-		l := *load
-		if l == 0 {
-			l = 0.05
-		}
-		w = &traffic.Hotspot{MsgBytes: 64 * 1024, Load: l, LineRate: link.Rate40G, Hot: 4, Seed: *seed}
-	default:
-		fail(fmt.Errorf("unknown workload %q", *workload))
+	w, err := scenario.NewWorkload(*workload, *load, *seed)
+	if err != nil {
+		fail(err)
 	}
 
 	h := sim.Time(horizon.Nanoseconds()) * sim.Nanosecond

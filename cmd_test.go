@@ -116,6 +116,13 @@ func TestCommandsSmoke(t *testing.T) {
 		if !strings.Contains(out, "wrote") {
 			t.Fatalf("tracegen output: %s", out)
 		}
+		// Every scenario workload kind resolves, not only the trace-like
+		// ones.
+		out = runTool(t, tg, "-workload", "tornado", "-hosts", "64",
+			"-horizon", "200us", "-o", filepath.Join(dir, "tornado.trace"))
+		if !strings.Contains(out, "wrote") {
+			t.Fatalf("tracegen -workload tornado output: %s", out)
+		}
 		out = runTool(t, tg, "-inspect", trace, "-hosts", "64", "-horizon", "2ms")
 		if !strings.Contains(out, "mean utilization") {
 			t.Errorf("inspect output: %s", out)

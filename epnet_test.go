@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -749,6 +750,35 @@ func TestPowerTrace(t *testing.T) {
 	}
 	if len(res.PowerTrace) != 0 {
 		t.Error("trace populated with sampling off")
+	}
+}
+
+// TestPowerTraceGrid: the power trace samples every interval from one
+// interval past the warmup boundary, a run without warmup from its first
+// interval, and a window off the tick grid keeps no partial last row.
+func TestPowerTraceGrid(t *testing.T) {
+	for _, warmup := range []time.Duration{0, 100 * time.Microsecond} {
+		cfg := fastCfg()
+		cfg.Warmup = warmup
+		cfg.Duration = 230 * time.Microsecond
+		cfg.PowerSampleEvery = 50 * time.Microsecond
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at []time.Duration
+		for _, s := range res.PowerTrace {
+			at = append(at, s.At)
+		}
+		want := []time.Duration{50 * time.Microsecond, 100 * time.Microsecond,
+			150 * time.Microsecond, 200 * time.Microsecond}
+		if !slices.Equal(at, want) {
+			t.Errorf("warmup %v: power trace sampled at %v, want %v", warmup, at, want)
+		}
+		if res.PowerTrace[0].Util <= 0 {
+			t.Errorf("warmup %v: first row's utilization %v, want the traffic of its interval",
+				warmup, res.PowerTrace[0].Util)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"slices"
 
 	"epnet/internal/link"
-	"epnet/internal/parallel"
 	"epnet/internal/routing"
 	"epnet/internal/sim"
 	"epnet/internal/telemetry"
@@ -358,13 +357,6 @@ type Network struct {
 	mTx []int64
 }
 
-// buildWorkers overrides the construction worker count (0 = one per
-// CPU). Construction output is identical at any worker count — every
-// entity and channel index is precomputed, so workers write disjoint
-// slots of the backing arrays; tests pin this to 1 to prove the
-// parallel build matches the serial one byte for byte.
-var buildWorkers = 0
-
 // New builds a network over topology t with router r. With
 // cfg.Shards > 1, e becomes the control engine: it carries everything
 // scheduled through Network.E (workloads, controllers, fault injection,
@@ -372,12 +364,11 @@ var buildWorkers = 0
 // with Network.RunUntil (or Sharding) rather than e.Run.
 //
 // Construction streams directly off the topology's port map
-// (topo.VisitSwitchLinks) — no materialized []topo.Link — and runs the
-// per-switch counting and wiring loops in parallel. Channel indices are
-// the same closed-form layout the serial build produced (host up/down
-// pairs at 2h/2h+1, then each switch's owned inter-switch links at its
-// prefix-sum offset), so event lane/seq ordering, channel labels, and
-// every CSV byte downstream are independent of the worker count.
+// (topo.VisitSwitchLinks), with no materialized []topo.Link, and lays
+// the channels out in one serial pass: host up/down pairs at 2h/2h+1,
+// then each switch's owned inter-switch links in port order. Event
+// lane/seq ordering, channel labels and every CSV byte downstream
+// follow from that layout.
 func New(e *sim.Engine, t topo.Topology, r routing.Router, cfg Config) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -412,7 +403,22 @@ func New(e *sim.Engine, t topo.Topology, r routing.Router, cfg Config) (*Network
 	}
 
 	numSw, numHosts, radix := t.NumSwitches(), t.NumHosts(), t.Radix()
-	workers := buildWorkers
+	interLinks := 0
+	for sw := range numSw {
+		topo.VisitSwitchLinks(t, sw, func(int, topo.Endpoint, topo.LinkClass) bool {
+			interLinks++
+			return true
+		})
+	}
+	totalChans := 2*numHosts + 2*interLinks
+	n.swArr = make([]Switch, numSw)
+	n.Switches = make([]*Switch, numSw)
+	n.hostArr = make([]Host, numHosts)
+	n.Hosts = make([]*Host, numHosts)
+	n.chanArr = make([]Chan, totalChans)
+	n.chanCold = make([]chanCold, totalChans)
+	n.chans = make([]*Chan, totalChans)
+	n.pairs = make([][2]*Chan, numHosts+interLinks)
 
 	// Lane IDs are allocated identically regardless of shard count:
 	// hosts first, then switches, so event keys — and with them the
@@ -422,11 +428,9 @@ func New(e *sim.Engine, t topo.Topology, r routing.Router, cfg Config) (*Network
 	// backing array, carved into per-switch windows with full slice
 	// expressions so a switch cannot grow into its neighbor's range; the
 	// route chooser's candidate buffers are carved the same way.
-	n.swArr = make([]Switch, numSw)
-	n.Switches = make([]*Switch, numSw)
 	portAll := make([]port, numSw*radix)
 	candAll := make([]int, numSw*radix)
-	parallel.ForEach(numSw, workers, func(sw int) error {
+	for sw := range n.swArr {
 		rt := n.switchShard(sw)
 		lo, hi := sw*radix, (sw+1)*radix
 		s := &n.swArr[sw]
@@ -441,83 +445,43 @@ func New(e *sim.Engine, t topo.Topology, r routing.Router, cfg Config) (*Network
 			candBuf: candAll[lo:lo:hi],
 		}
 		n.Switches[sw] = s
-		return nil
-	})
-	n.hostArr = make([]Host, numHosts)
-	n.Hosts = make([]*Host, numHosts)
-	parallel.ForEach(numHosts, workers, func(h int) error {
-		sw, _ := t.HostAttachment(h)
+	}
+	for h := range n.hostArr {
+		sw, port := t.HostAttachment(h)
 		rt := n.switchShard(sw)
 		hh := &n.hostArr[h]
 		*hh = Host{net: n, id: h, rt: rt, eng: rt.eng, lane: sim.NewLane(uint64(1 + h))}
 		n.Hosts[h] = hh
-		return nil
-	})
-
-	// Channel layout. Host channels come first — up at 2h, down at 2h+1
-	// — then each switch's owned inter-switch links (two directed
-	// channels per link, forward then reverse, in port order) at an
-	// offset fixed by a prefix sum over per-switch owned-link counts.
-	// This is exactly the sequence the serial append-loop produced.
-	ownedLinks := make([]int, numSw)
-	parallel.ForEach(numSw, workers, func(sw int) error {
-		cnt := 0
-		topo.VisitSwitchLinks(t, sw, func(int, topo.Endpoint, topo.LinkClass) bool {
-			cnt++
-			return true
-		})
-		ownedLinks[sw] = cnt
-		return nil
-	})
-	linkBase := make([]int, numSw+1) // owned links before switch sw
-	for sw := 0; sw < numSw; sw++ {
-		linkBase[sw+1] = linkBase[sw] + ownedLinks[sw]
-	}
-	interLinks := linkBase[numSw]
-
-	totalChans := 2*numHosts + 2*interLinks
-	n.chanArr = make([]Chan, totalChans)
-	n.chanCold = make([]chanCold, totalChans)
-	n.chans = make([]*Chan, totalChans)
-	n.pairs = make([][2]*Chan, numHosts+interLinks)
-
-	parallel.ForEach(numHosts, workers, func(h int) error {
-		sw, port := t.HostAttachment(h)
 		hostEP := topo.Endpoint{Kind: topo.KindHost, ID: h}
 		swEP := topo.Endpoint{Kind: topo.KindSwitch, ID: sw, Port: port}
 		up := n.initChan(2*h, hostEP, swEP, int64(cfg.InputBufBytes))
 		// Hosts sink at line rate; effectively unlimited credits.
 		down := n.initChan(2*h+1, swEP, hostEP, math.MaxInt64/4)
-		n.hostArr[h].out = up
+		hh.out = up
 		n.swArr[sw].ports[port].out = down
 		n.pairs[h] = [2]*Chan{up, down}
-		return nil
-	})
-	parallel.ForEach(numSw, workers, func(sw int) error {
-		idx := 2*numHosts + 2*linkBase[sw]
-		pairIdx := numHosts + linkBase[sw]
+	}
+	// Each owned inter-switch link is two directed channels, forward
+	// then reverse.
+	pair := numHosts
+	for sw := range n.swArr {
 		topo.VisitSwitchLinks(t, sw, func(p int, peer topo.Endpoint, _ topo.LinkClass) bool {
 			a := topo.Endpoint{Kind: topo.KindSwitch, ID: sw, Port: p}
-			fwd := n.initChan(idx, a, peer, int64(cfg.InputBufBytes))
-			rev := n.initChan(idx+1, peer, a, int64(cfg.InputBufBytes))
-			// The peer-side write lands in another switch's out window;
-			// it is this link's unique slot, so workers never collide.
+			fwd := n.initChan(2*pair, a, peer, int64(cfg.InputBufBytes))
+			rev := n.initChan(2*pair+1, peer, a, int64(cfg.InputBufBytes))
 			n.swArr[sw].ports[p].out = fwd
 			n.swArr[peer.ID].ports[peer.Port].out = rev
-			n.pairs[pairIdx] = [2]*Chan{fwd, rev}
-			idx += 2
-			pairIdx++
+			n.pairs[pair] = [2]*Chan{fwd, rev}
+			pair++
 			return true
 		})
-		return nil
-	})
+	}
 	n.finishShards()
 	return n, nil
 }
 
 // initChan initializes channel slot idx of the backing arrays in place
-// and returns its handle. Safe to call from concurrent construction
-// workers as long as each idx is written exactly once.
+// and returns its handle.
 func (n *Network) initChan(idx int, src, dst topo.Endpoint, credits int64) *Chan {
 	c := &n.chanArr[idx]
 	*c = Chan{

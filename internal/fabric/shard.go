@@ -252,9 +252,6 @@ type ShardGroup struct {
 	winStart []sim.Time
 }
 
-// NumShards returns the number of shards in the group.
-func (g *ShardGroup) NumShards() int { return len(g.rts) }
-
 // Lookahead returns the tightest cross-shard window bound: the minimum
 // off-diagonal entry of the lookahead matrix. A shard pair at this bound
 // barriers most often; loosely coupled pairs run wider windows.

@@ -49,9 +49,6 @@ type port struct {
 	off         bool // out is powered off (Network.PowerOff)
 }
 
-// ID returns the switch index.
-func (s *Switch) ID() int { return s.id }
-
 // QueueBytes returns the output queue depth (bytes) of a port.
 func (s *Switch) QueueBytes(port int) int64 { return s.ports[port].queuedBytes }
 
@@ -318,9 +315,6 @@ type Host struct {
 	wakeAt      sim.Time
 	wakePending bool
 }
-
-// ID returns the host index.
-func (h *Host) ID() int { return h.id }
 
 // BacklogBytes returns bytes waiting in the injection queue.
 func (h *Host) BacklogBytes() int64 { return h.backlogBytes }

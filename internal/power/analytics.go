@@ -54,14 +54,6 @@ type TopologyRow struct {
 	WattsPerGbps    float64
 }
 
-// describeTopology is implemented by both part-count models.
-type describeTopology interface {
-	Name() string
-	ElectricalLinks() int
-	OpticalLinks() int
-	BisectionGbps(linkGbps float64) float64
-}
-
 // FBFLYRow computes the flattened-butterfly column of Table 1.
 func FBFLYRow(f *topo.FBFLY, parts PartPower, linkRate link.Rate) TopologyRow {
 	pc := topo.FBFLYPartCount{FBFLY: f}

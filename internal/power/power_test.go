@@ -85,18 +85,6 @@ func TestIdealProportionality(t *testing.T) {
 	}
 }
 
-func TestAlwaysOn(t *testing.T) {
-	var p AlwaysOn
-	for _, r := range link.DefaultLadder() {
-		if p.Relative(r) != 1 || p.Idle(r) != 1 {
-			t.Errorf("always-on not 1 at %v", r)
-		}
-	}
-	if p.Off() != 1 {
-		t.Error("always-on off != 1")
-	}
-}
-
 func TestOccupancyPower(t *testing.T) {
 	us := sim.Microsecond
 	occ := link.Occupancy{

@@ -19,12 +19,6 @@ type Profile interface {
 	Name() string
 	// Relative returns the normalized power draw at rate r.
 	Relative(r link.Rate) float64
-	// Idle returns the normalized power of an Active channel at its
-	// configured rate sending only idle symbols. Plesiochronous links
-	// are "always on": for the measured profile this equals Relative
-	// (the SerDes burns the same power regardless of payload); for the
-	// ideal profile it is zero.
-	Idle(r link.Rate) float64
 	// Off returns the normalized power of a powered-down channel.
 	Off() float64
 }
@@ -122,12 +116,6 @@ func (m *Measured) Relative(r link.Rate) float64 {
 	return 1
 }
 
-// Idle implements Profile: an always-on measured link burns its
-// configured-rate power regardless of payload, so idle at rate r is
-// simply Relative(r); the separately tracked idle floor is exposed by
-// IdleFloor.
-func (m *Measured) Idle(r link.Rate) float64 { return m.Relative(r) }
-
 // IdleFloor is the normalized power of the chip's IDLE mode bar in
 // Figure 5.
 func (m *Measured) IdleFloor() float64 { return m.idle }
@@ -158,37 +146,12 @@ func (i *Ideal) Name() string { return "ideal-proportional" }
 // Relative implements Profile.
 func (i *Ideal) Relative(r link.Rate) float64 { return float64(r) / float64(i.MaxRate) }
 
-// Idle implements Profile: an ideal channel consumes power only for the
-// bits it moves. For time-at-rate based accounting we attribute the
-// configured rate's power while Active; a fully ideal network (zero
-// reactivation, instant rate match) then consumes exactly its average
-// utilization, as the paper describes.
-func (i *Ideal) Idle(r link.Rate) float64 { return float64(r) / float64(i.MaxRate) }
-
 // Off implements Profile.
 func (i *Ideal) Off() float64 { return 0 }
-
-// AlwaysOn is the baseline profile: channels burn full power at every
-// rate — the "always on regardless of whether they are flowing data
-// packets" status quo the paper starts from.
-type AlwaysOn struct{}
-
-// Name implements Profile.
-func (AlwaysOn) Name() string { return "always-on" }
-
-// Relative implements Profile.
-func (AlwaysOn) Relative(link.Rate) float64 { return 1 }
-
-// Idle implements Profile.
-func (AlwaysOn) Idle(link.Rate) float64 { return 1 }
-
-// Off implements Profile.
-func (AlwaysOn) Off() float64 { return 1 }
 
 var (
 	_ Profile = (*Measured)(nil)
 	_ Profile = (*Ideal)(nil)
-	_ Profile = AlwaysOn{}
 )
 
 // OccupancyPower converts a channel occupancy into mean normalized power

@@ -108,17 +108,29 @@ func KnownKind(kind string) bool {
 	return ok
 }
 
+// NewWorkload builds the generator of workload kind at load (0 = the
+// kind's default) from seed: what a flat phase of that kind runs.
+func NewWorkload(kind string, load float64, seed int64) (traffic.Workload, error) {
+	mk, ok := makers[kind]
+	if !ok {
+		return nil, errf("workload", "unknown workload %q", kind)
+	}
+	return mk(load, seed), nil
+}
+
 // NewSource builds the streaming source for one traffic spec. The
 // spec must have passed Validate.
 func NewSource(spec Traffic, seed int64) (Source, error) {
-	mk, ok := makers[spec.Workload]
-	if !ok {
-		return nil, errf("workload", "unknown workload %q", spec.Workload)
-	}
 	if sh := spec.Shape; sh != nil && sh.Kind != "" && sh.Kind != ShapeFlat {
-		return &paced{kind: spec.Workload, shape: *sh, peak: spec.Load, seed: seed, mk: mk}, nil
+		if mk, ok := makers[spec.Workload]; ok {
+			return &paced{kind: spec.Workload, shape: *sh, peak: spec.Load, seed: seed, mk: mk}, nil
+		}
 	}
-	return steady{w: mk(spec.Load, seed)}, nil
+	w, err := NewWorkload(spec.Workload, spec.Load, seed)
+	if err != nil {
+		return nil, err
+	}
+	return steady{w: w}, nil
 }
 
 // FromWorkload adapts a prebuilt generator (e.g. trace replay) into a

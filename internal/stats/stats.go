@@ -1,13 +1,11 @@
 // Package stats provides the measurement primitives used by the
 // simulator: streaming latency statistics with log-scale histograms for
-// percentile estimation, and small helpers for report tables.
+// percentile estimation.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"epnet/internal/sim"
 )
@@ -197,71 +195,3 @@ func (l *Latency) Merge(other *Latency) {
 		l.buckets[b] += n
 	}
 }
-
-// Table is a minimal fixed-width text table for experiment reports.
-type Table struct {
-	Header []string
-	Rows   [][]string
-}
-
-// AddRow appends a row of cells.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Header)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteString("\n")
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// Bar renders a horizontal ASCII bar of the given fractional width
-// (0..1) over maxCols columns, for figure-like terminal output.
-func Bar(frac float64, maxCols int) string {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	n := int(frac*float64(maxCols) + 0.5)
-	return strings.Repeat("#", n)
-}
-
-// F formats a float with the given number of decimals; convenience for
-// table rows.
-func F(v float64, decimals int) string {
-	return fmt.Sprintf("%.*f", decimals, v)
-}
-
-// Pct formats a fraction as a percentage.
-func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

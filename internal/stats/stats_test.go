@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -170,37 +169,6 @@ func TestLatencyInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	tab := Table{Header: []string{"name", "value"}}
-	tab.AddRow("alpha", "1")
-	tab.AddRow("b", "22222")
-	out := tab.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table lines = %d: %q", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "name ") {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "-----") {
-		t.Errorf("separator = %q", lines[1])
-	}
-	// Columns align: "value" column starts at the same offset everywhere.
-	idx := strings.Index(lines[0], "value")
-	if !strings.HasPrefix(lines[2][idx:], "1") || !strings.HasPrefix(lines[3][idx:], "22222") {
-		t.Errorf("misaligned table:\n%s", out)
-	}
-}
-
-func TestFormatters(t *testing.T) {
-	if F(1.23456, 2) != "1.23" {
-		t.Errorf("F = %q", F(1.23456, 2))
-	}
-	if Pct(0.4216) != "42.2%" {
-		t.Errorf("Pct = %q", Pct(0.4216))
-	}
-}
-
 func TestLatencyBuckets(t *testing.T) {
 	l := NewLatency()
 	for _, d := range []sim.Time{sim.Microsecond, sim.Microsecond, 10 * sim.Microsecond} {
@@ -297,21 +265,6 @@ func TestBucketOfMatchesFloat(t *testing.T) {
 			d = sim.Time(max(x, 1))
 		}
 		check(d)
-	}
-}
-
-func TestBar(t *testing.T) {
-	if Bar(0.5, 10) != "#####" {
-		t.Errorf("Bar(0.5,10) = %q", Bar(0.5, 10))
-	}
-	if Bar(-1, 10) != "" {
-		t.Errorf("negative fraction: %q", Bar(-1, 10))
-	}
-	if Bar(2, 10) != "##########" {
-		t.Errorf("overflow fraction: %q", Bar(2, 10))
-	}
-	if Bar(0, 10) != "" {
-		t.Errorf("zero: %q", Bar(0, 10))
 	}
 }
 

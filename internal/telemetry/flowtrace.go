@@ -267,9 +267,6 @@ func NewFlowCollector(shards, nchans int, sampleRate float64, seed int64) *FlowC
 	return fc
 }
 
-// SampleRate returns the configured sampling fraction.
-func (fc *FlowCollector) SampleRate() float64 { return fc.rate }
-
 // SetClasses installs the flow classes (scenario phases): packets are
 // classified by their finish time against ends, exactly as the phase
 // scorecards classify deliveries. Call before the run starts; it resets

@@ -2,78 +2,48 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 
 	"epnet/internal/sim"
 )
 
-// Heatmap samples per-row cumulative busy time on a fixed interval and
-// stores the per-interval utilization of each row — one row per link,
-// one column per sample interval. Rows provide a monotonically
-// increasing busy-time reading (link.Channel.BusyTime), so each cell
-// is (Δbusy / Δt) ∈ [0, 1] for the interval ending at the column's
-// timestamp. Like the Sampler it is driven by the simulation engine
-// and is deterministic for a deterministic run.
+// Heatmap keeps the per-interval utilization of each row between
+// samples: one row per link, one column per interval. Rows provide a
+// monotonically increasing busy-time reading (link.Channel.BusyTime),
+// so each cell is (Δbusy / Δt) ∈ [0, 1] for the interval ending at the
+// column's timestamp. Call Sample from a Sampler's OnSample: the
+// sampler's baseline, ticks and Finish then give the baseline, the
+// columns and the partial last column. It is deterministic for a
+// deterministic run. The zero value is an empty heatmap.
 type Heatmap struct {
-	interval sim.Time
-
 	labels []string
 	read   []func(now sim.Time) sim.Time // cumulative busy time per row
-	prev   []sim.Time
+	prev   []sim.Time                    // busy time at the last sample; nil before the first
 	prevAt sim.Time
 	times  []sim.Time  // column end times
 	cols   [][]float64 // cols[j][i] = utilization of row i over (times[j-1], times[j]]
-	tick   sim.Event
 }
 
-// NewHeatmap returns a heatmap sampling every interval.
-func NewHeatmap(interval sim.Time) (*Heatmap, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("telemetry: heatmap interval must be positive, got %v", interval)
-	}
-	return &Heatmap{interval: interval}, nil
-}
-
-// AddRow registers one row before Start: a display label and a reader
-// returning cumulative busy time at the given instant.
+// AddRow registers one row before the first sample: a display label and
+// a reader returning cumulative busy time at the given instant.
 func (h *Heatmap) AddRow(label string, busy func(now sim.Time) sim.Time) {
 	h.labels = append(h.labels, label)
 	h.read = append(h.read, busy)
 }
 
-// Start records the busy-time baseline at the current instant and
-// schedules a column capture every interval while the next tick is
-// <= until; the tick at exactly until fires before the engine stops
-// (see Sampler.Start for the boundary guarantee).
-func (h *Heatmap) Start(e *sim.Engine, until sim.Time) {
-	h.prev = make([]sim.Time, len(h.read))
-	h.prevAt = e.Now()
-	for i, f := range h.read {
-		h.prev[i] = f(h.prevAt)
-	}
-	h.tick = func(now sim.Time) {
-		h.column(now)
-		if next := now + h.interval; next <= until {
-			e.At(next, h.tick)
+// Sample reads every row at now. The first sample is the baseline;
+// each later one past the previous appends the column covering
+// (previous sample, now].
+func (h *Heatmap) Sample(now sim.Time) {
+	if h.prev == nil {
+		h.prev = make([]sim.Time, len(h.read))
+		for i, f := range h.read {
+			h.prev[i] = f(now)
 		}
+		h.prevAt = now
+		return
 	}
-	if next := e.Now() + h.interval; next <= until {
-		e.At(next, h.tick)
-	}
-}
-
-// Finish captures a final partial column if the run ended off the tick
-// grid.
-func (h *Heatmap) Finish(now sim.Time) {
-	if now > h.prevAt {
-		h.column(now)
-	}
-}
-
-// column appends one utilization column covering (prevAt, now].
-func (h *Heatmap) column(now sim.Time) {
 	dt := now - h.prevAt
 	if dt <= 0 {
 		return

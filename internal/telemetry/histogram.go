@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -120,17 +121,9 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	// Manual lower-bound search: first bucket with upper >= v.
-	lo, hi := 0, len(h.uppers)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.uppers[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo]++
+	// The first bucket whose upper bound is >= v.
+	b, _ := slices.BinarySearch(h.uppers, v)
+	h.counts[b]++
 	h.sum += v
 	h.n++
 }

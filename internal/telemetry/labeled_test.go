@@ -305,21 +305,31 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// A synthetic busy-time reader: busy advances at a configurable
-// fraction of wall time between samples.
-func TestHeatmapCells(t *testing.T) {
+// heatmapRun drives h through a sampler without a sink, as a run does:
+// baseline at 0, a column every 10us up to horizon, and Finish's.
+func heatmapRun(t *testing.T, h *Heatmap, horizon sim.Time) {
+	t.Helper()
 	e := sim.New()
-	h, err := NewHeatmap(10 * sim.Microsecond)
+	s, err := NewSampler(nil, 10*sim.Microsecond, nil, CSV)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.OnSample = h.Sample
+	s.Start(e, horizon)
+	e.RunUntil(horizon)
+	if err := s.Finish(e.Now()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A synthetic busy-time reader: busy advances at a configurable
+// fraction of wall time between samples.
+func TestHeatmapCells(t *testing.T) {
+	var h Heatmap
 	// Row 0 is busy 50% of the time; row 1 is fully busy.
 	h.AddRow("half", func(now sim.Time) sim.Time { return now / 2 })
 	h.AddRow("full", func(now sim.Time) sim.Time { return now })
-	const horizon = 25 * sim.Microsecond
-	h.Start(e, horizon)
-	e.RunUntil(horizon)
-	h.Finish(e.Now())
+	heatmapRun(t, &h, 25*sim.Microsecond)
 
 	if h.Rows() != 2 {
 		t.Fatalf("rows = %d", h.Rows())
@@ -356,15 +366,6 @@ func TestHeatmapCells(t *testing.T) {
 	// Three 0.5 cells land in le=0.5, three 1.0 cells in le=1.
 	if counts[1] != 3 || counts[3] != 3 || hist.Count() != 6 {
 		t.Errorf("utilization histogram counts = %v", counts)
-	}
-}
-
-func TestHeatmapRejectsBadInterval(t *testing.T) {
-	if _, err := NewHeatmap(0); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := NewHeatmap(-sim.Microsecond); err == nil {
-		t.Error("negative interval accepted")
 	}
 }
 
@@ -406,19 +407,12 @@ func TestSamplerBoundaryRow(t *testing.T) {
 	}
 }
 
-// The heatmap shares the sampler's boundary behavior: a horizon on the
-// tick grid produces a final column at exactly the horizon.
+// The heatmap takes the sampler's boundary behavior: a horizon on the
+// tick grid produces one final column at exactly the horizon.
 func TestHeatmapBoundaryColumn(t *testing.T) {
-	e := sim.New()
-	h, err := NewHeatmap(10 * sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var h Heatmap
 	h.AddRow("r", func(now sim.Time) sim.Time { return now })
-	const horizon = 30 * sim.Microsecond
-	h.Start(e, horizon)
-	e.RunUntil(horizon)
-	h.Finish(e.Now())
+	heatmapRun(t, &h, 30*sim.Microsecond)
 	if h.Cols() != 3 {
 		t.Fatalf("cols = %d, want 3 (10, 20, 30us)", h.Cols())
 	}

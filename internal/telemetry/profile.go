@@ -104,9 +104,6 @@ func NewEngineProfiler(nshards int) *EngineProfiler {
 	}
 }
 
-// NumShards returns the shard count the profiler was sized for.
-func (p *EngineProfiler) NumShards() int { return p.nshards }
-
 // SetPartition records the partition's cut quality (directed
 // inter-switch channels crossing a shard boundary, out of the total)
 // and the finite off-diagonal range of the lookahead matrix, both in

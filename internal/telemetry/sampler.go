@@ -77,8 +77,8 @@ type row struct {
 }
 
 // NewSampler returns a sampler reading reg every interval and streaming
-// the rows to sink in enc. A nil sink samples nothing; OnSample still
-// fires on every tick.
+// the rows to sink in enc. A nil sink samples nothing and reads no
+// registry, so reg may be nil too; OnSample still fires on every tick.
 func NewSampler(reg *Registry, interval sim.Time, sink io.Writer, enc Encoding) (*Sampler, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("telemetry: sample interval must be positive, got %v", interval)

@@ -100,9 +100,9 @@ type Link struct {
 // sw — those whose (sw, port) endpoint is lexicographically smaller
 // than the peer's — in ascending port order, so over all switches every
 // link is visited exactly once. fn returns false to stop early;
-// VisitSwitchLinks reports whether the walk ran to completion. This is
-// the unit the fabric parallelizes construction over: each switch's
-// owned links are independent of every other switch's.
+// VisitSwitchLinks reports whether the walk ran to completion. The
+// fabric's serial construction walks it switch by switch to lay out
+// the inter-switch channels.
 func VisitSwitchLinks(t Topology, sw int, fn func(port int, peer Endpoint, class LinkClass) bool) bool {
 	radix := t.Radix()
 	for p := 0; p < radix; p++ {

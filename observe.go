@@ -19,23 +19,6 @@ var latencyBucketsUs = []float64{
 	1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000,
 }
 
-// latBucket returns the net.latency_us bucket index for a latency in
-// microseconds: the first bucket whose upper bound covers v, or the
-// final +Inf bucket. It mirrors Histogram.Observe's lower-bound search
-// so shard-local accumulation buckets identically to direct observation.
-func latBucket(v float64) int {
-	lo, hi := 0, len(latencyBucketsUs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if latencyBucketsUs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // utilBuckets are the upper bounds of the link-utilization histogram
 // (the paper's Fig 8 x-axis: twenty 5% bins).
 var utilBuckets = []float64{
@@ -46,8 +29,9 @@ var utilBuckets = []float64{
 // observer wires a run's optional telemetry: the metrics sampler
 // behind Config.MetricsOut, the utilization heatmap and histogram
 // behind Config.HeatmapOut/HistOut, and the live-inspection publisher
-// behind Config.Inspector. newObserver returns nil when everything is
-// disabled, so Run pays nothing for observability it did not ask for.
+// behind Config.Inspector, all on the one sampler's tick. newObserver
+// returns nil when everything is disabled, so Run pays nothing for
+// observability it did not ask for.
 type observer struct {
 	*run
 	flowChans []string
@@ -64,7 +48,9 @@ type observer struct {
 // newObserver builds and starts the telemetry the run's config asks
 // for. The sampler writes its header and baseline into the metrics
 // file immediately (at the engine's current time, normally 0) and
-// streams a row every tick until the horizon.
+// streams a row every tick until the horizon. A run without a metrics
+// file starts a sampler without a sink, which only paces the heatmap
+// and the publisher.
 func newObserver(r *run) (*observer, error) {
 	cfg, net := r.cfg, r.net
 	if cfg.MetricsOut == "" && cfg.HeatmapOut == "" && cfg.HistOut == "" && cfg.Inspector == nil {
@@ -75,15 +61,10 @@ func newObserver(r *run) (*observer, error) {
 		o.flowChans = chanLabels(net)
 	}
 	if cfg.HeatmapOut != "" || cfg.HistOut != "" {
-		h, herr := telemetry.NewHeatmap(simTime(cfg.SampleInterval))
-		if herr != nil {
-			return nil, herr
-		}
+		o.heatmap = &telemetry.Heatmap{}
 		for _, ch := range net.InterSwitchChannels() {
-			h.AddRow(ch.Label(), ch.L.BusyTime)
+			o.heatmap.AddRow(ch.Label(), ch.L.BusyTime)
 		}
-		o.heatmap = h
-		h.Start(r.e, r.horizon)
 	}
 	if cfg.MetricsOut != "" || cfg.Inspector != nil {
 		reg := telemetry.NewRegistry()
@@ -140,27 +121,35 @@ func newObserver(r *run) (*observer, error) {
 			return nil, err
 		}
 		o.reg = reg
-		// An inspector-only run passes no sink: its sampler only paces
-		// the publisher.
-		var sink io.Writer
-		if f := r.out[outMetrics]; f != nil {
-			sink = f
-		}
-		enc := telemetry.CSV
-		if strings.HasSuffix(cfg.MetricsOut, ".jsonl") {
-			enc = telemetry.JSONL
-		}
-		s, serr := telemetry.NewSampler(reg, simTime(cfg.SampleInterval), sink, enc)
-		if serr != nil {
-			return nil, serr
-		}
-		o.sampler = s
-		if cfg.Inspector != nil {
-			s.OnSample = o.publish
-		}
-		s.Start(r.e, r.horizon)
 	}
+	var sink io.Writer
+	if f := r.out[outMetrics]; f != nil {
+		sink = f
+	}
+	enc := telemetry.CSV
+	if strings.HasSuffix(cfg.MetricsOut, ".jsonl") {
+		enc = telemetry.JSONL
+	}
+	s, err := telemetry.NewSampler(o.reg, simTime(cfg.SampleInterval), sink, enc)
+	if err != nil {
+		return nil, err
+	}
+	o.sampler = s
+	s.OnSample = o.onSample
+	s.Start(r.e, r.horizon)
 	return o, nil
+}
+
+// onSample is the sampler's hook: its baseline, each tick and the
+// final sample give the heatmap a column and the inspector a fresh
+// document.
+func (o *observer) onSample(now sim.Time) {
+	if o.heatmap != nil {
+		o.heatmap.Sample(now)
+	}
+	if o.cfg.Inspector != nil {
+		o.publish(now)
+	}
 }
 
 // publish renders the scrape body and the per-entity snapshot on the
@@ -305,15 +294,12 @@ func (o *observer) finish(now sim.Time) error {
 	}
 	o.done = true
 	var errs []error
-	if o.sampler != nil {
-		// The sampler streamed into the metrics file, if any; Finish
-		// writes its last row and publishes the final inspection
-		// documents, so it runs either way.
-		err := o.sampler.Finish(now)
-		errs = append(errs, o.out.write(outMetrics, "metrics", func(io.Writer) error { return err }))
-	}
+	// The sampler streamed into the metrics file, if any; Finish writes
+	// its last row, takes the heatmap's partial last column and
+	// publishes the final inspection documents, so it runs either way.
+	err := o.sampler.Finish(now)
+	errs = append(errs, o.out.write(outMetrics, "metrics", func(io.Writer) error { return err }))
 	if o.heatmap != nil {
-		o.heatmap.Finish(now)
 		errs = append(errs, o.out.write(outHeatmap, "heatmap", o.heatmap.WriteCSV),
 			o.out.write(outHist, "utilization histogram", func(w io.Writer) error {
 				hist, err := o.heatmap.UtilizationHistogram(utilBuckets)

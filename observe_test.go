@@ -253,6 +253,54 @@ func TestMetricsEncoderLifecycle(t *testing.T) {
 	}
 }
 
+// TestHeatmapOnlyRun: a run that writes only the heatmap and the
+// utilization histogram paces them with a sampler without a sink, which
+// starts no encoder, and writes the same bytes as the run that also
+// streams metrics. The horizon (500us) is off the 30us tick grid, so
+// the last column is the one the sampler's Finish takes.
+func TestHeatmapOnlyRun(t *testing.T) {
+	dir := t.TempDir()
+	only := observeConfig()
+	only.SampleInterval = 30 * time.Microsecond
+	withMetrics := only
+	only.HeatmapOut = filepath.Join(dir, "only-heat.csv")
+	only.HistOut = filepath.Join(dir, "only-hist.csv")
+	withMetrics.HeatmapOut = filepath.Join(dir, "heat.csv")
+	withMetrics.HistOut = filepath.Join(dir, "hist.csv")
+	withMetrics.MetricsOut = filepath.Join(dir, "metrics.csv")
+	if _, err := Run(withMetrics); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &encoderProbe{Context: context.Background(), n: -1}
+	if _, err := RunContext(ctx, only); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.peak != 0 {
+		t.Errorf("%d metrics encoders ran in a heatmap-only run, want 0", ctx.peak)
+	}
+	for _, pair := range [][2]string{{withMetrics.HeatmapOut, only.HeatmapOut}, {withMetrics.HistOut, only.HistOut}} {
+		want, err := os.ReadFile(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || string(got) != string(want) {
+			t.Errorf("%s (%d bytes) differs from %s (%d bytes)", pair[1], len(got), pair[0], len(want))
+		}
+	}
+	heat, err := os.ReadFile(only.HeatmapOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(string(heat), "\n")
+	if !strings.HasSuffix(header, ",480,500") {
+		t.Errorf("heatmap header %q does not end in the last tick and the horizon", header)
+	}
+}
+
 func TestRunWritesChromeTrace(t *testing.T) {
 	cfg := observeConfig()
 	cfg.TraceOut = filepath.Join(t.TempDir(), "trace.json")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"epnet/internal/core"
@@ -161,7 +162,7 @@ type run struct {
 	acct            *phaseAccounting
 	out             outputs
 	obs             *observer
-	sample          sim.Event // the power-trace sampler, scheduled by drive
+	power           *telemetry.Sampler // the power trace's sampler, started by drive
 
 	meter *power.Meter // instantaneous power; see powerMeter
 	trace []PowerSample
@@ -258,9 +259,9 @@ func (r *run) attach() error {
 	net.OnDeliver = r.rec.deliver
 	net.OnMessageDone = r.rec.messageDone
 	if cfg.PowerSampleEvery > 0 {
-		r.sample = r.powerSampler(simTime(cfg.PowerSampleEvery))
+		r.power, err = r.powerSampler(simTime(cfg.PowerSampleEvery))
 	}
-	return nil
+	return err
 }
 
 // startControl starts link control and the dynamic topology. A scenario
@@ -378,16 +379,22 @@ func (r *run) powerMeter() *power.Meter {
 	return r.meter
 }
 
-// powerSampler returns the event that appends one Result.PowerTrace
-// sample and reschedules itself every interval until the horizon.
-func (r *run) powerSampler(interval sim.Time) sim.Event {
+// powerSampler returns a sampler without a sink whose ticks append
+// the Result.PowerTrace rows. Its baseline, at the warmup boundary,
+// appends nothing: channel byte counters reset there, so the first row
+// (one interval in) sees exactly the bytes moved since. It is never
+// finished, so a window off its tick grid ends without a partial row.
+func (r *run) powerSampler(interval sim.Time) (*telemetry.Sampler, error) {
+	s, err := telemetry.NewSampler(nil, interval, nil, telemetry.CSV)
+	if err != nil {
+		return nil, err
+	}
 	meter := r.powerMeter()
 	capacity := float64(r.ladder().Max()) / 8 * interval.Seconds() * float64(len(r.net.Channels()))
 	var lastBytes int64
 	var rel [2]float64
-	var sample sim.Event
-	sample = func(now sim.Time) {
-		if now > r.horizon {
+	s.OnSample = func(now sim.Time) {
+		if now == r.warmup {
 			return
 		}
 		bytes := meter.Read(now, rel[:])
@@ -402,9 +409,8 @@ func (r *run) powerSampler(interval sim.Time) sim.Event {
 			Ideal:    rel[1],
 			Util:     util,
 		})
-		r.e.After(interval, sample)
 	}
-	return sample
+	return s, nil
 }
 
 // drive starts the plan's traffic, schedules faults, chaos and the
@@ -432,11 +438,8 @@ func (r *run) drive(ctx context.Context) error {
 			return err
 		}
 	}
-	if r.sample != nil {
-		// Channel byte counters reset at the warmup boundary, so the
-		// first sample (one interval in) sees exactly the bytes moved
-		// since then.
-		r.e.At(r.warmup+simTime(r.cfg.PowerSampleEvery), r.sample)
+	if r.power != nil {
+		r.e.At(r.warmup, func(sim.Time) { r.power.Start(r.e, r.horizon) })
 	}
 
 	// Warmup, then reset accounting so power/occupancy reflect steady
@@ -761,7 +764,9 @@ func (d *deliveries) deliver(p *fabric.Packet, now sim.Time) {
 		s.phase[i].Add(lat)
 	}
 	if s.buckets != nil {
-		s.buckets[latBucket(lat.Microseconds())]++
+		// Histogram.Observe's bucket: the first bound >= the latency.
+		b, _ := slices.BinarySearch(latencyBucketsUs, lat.Microseconds())
+		s.buckets[b]++
 		s.sum += lat
 	}
 }
